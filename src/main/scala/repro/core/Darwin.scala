@@ -9,7 +9,10 @@ object Strategy {
   case object LocalSearch extends Strategy { val label = "LS" }
   /** Alg. 4: best global benefit, skipping rules with avg benefit ≤ 0.5. */
   case object UniversalSearch extends Strategy { val label = "US" }
-  /** Alg. 5: toggle between the two after τ consecutive failures. */
+  /** Alg. 5: toggle between the two when the current pool is empty, or
+    * after τ+1 consecutive oracle rejections (the code flips on
+    * `attempt > tau`; DESIGN.md).
+    */
   final case class HybridSearch(tau: Int = 5) extends Strategy { val label = "HS" }
   /** §4.3 baseline: query the rule with highest expected precision. */
   case object HighP extends Strategy { val label = "HighP" }
@@ -112,11 +115,6 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     def avgBenefit(p: String): Double = {
       val (b, f) = stats(p); if (f == 0) 0.0 else b / f
     }
-    def freshCount(p: String): Int = stats(p)._2
-    // §3.2 cleanup applied to live pools: a rule whose coverage is inside P
-    // cannot add positives — drop it without spending an oracle query.
-    def prune(pool: mutable.LinkedHashSet[String]): Unit =
-      pool.filterInPlace(p => freshCount(p) > 0)
 
     // §3.2 diversity constraint: never spend a query on a rule whose
     // coverage is nearly identical to one already answered — the oracle
@@ -175,104 +173,64 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     def record(r: String, answer: Boolean): Unit =
       trace += QueryEvent(oracle.queries, r, answer, P.cardinality(), prep.recall(P))
 
-    val local     = mutable.LinkedHashSet.empty[String]
-    seedRule.foreach(local += _)
-    // Rule-less start: LocalSearch needs an anchor — use the indexed rule
-    // with the highest coverage over the seed positives (generate_hierarchy
-    // would surface it first anyway).
-    if (seedRule.isEmpty)
-      CandidateGen.generate(index, P, 1).foreach(local += _)
-    var universal = regen()
+    // One traversal loop; the strategy only picks its settings (DESIGN.md,
+    // "Traversal loop"): the pools it uses, the ranking key, whether
+    // universal mode skips rules with avg benefit ≤ minAvgBenefit, and τ.
+    // The mode flips after τ+1 consecutive rejections or on an empty pool.
+    val (useLocal, useUniversal, key, skipLowAvg, tau) = strategy match {
+      case Strategy.LocalSearch     => (true, false, byBenefit, false, Int.MaxValue)
+      case Strategy.UniversalSearch => (false, true, byBenefit, true, Int.MaxValue)
+      case Strategy.HybridSearch(t) => (true, true, byBenefit, true, t)
+      case Strategy.HighP           => (false, true, byAvgBenefit, false, Int.MaxValue)
+      case Strategy.HighC           => (false, true, byCoverage, false, Int.MaxValue)
+    }
 
+    val local = mutable.LinkedHashSet.empty[String]
+    // §3.2 cleanup applied to the local pool: a rule whose coverage is
+    // inside P cannot add positives — drop it without spending an oracle
+    // query. `universal` needs none: regen() already drops those rules and
+    // follows every change to P.
+    def pruneLocal(): Unit = local.filterInPlace(p => stats(p)._2 > 0)
     def addLocalParents(r: String): Unit =
       index.parents(r).filterNot(asked).foreach(local += _)
     def addLocalChildren(r: String): Unit =
       index.children(r).filterNot(asked).foreach(local += _)
+    if (useLocal) seedRule match {
+      // The seed is pre-verified: expand its neighborhood directly.
+      case Some(r) => addLocalParents(r); addLocalChildren(r)
+      // Rule-less start: anchor on the indexed rule with the highest
+      // coverage over the seed positives (generate_hierarchy would surface
+      // it first anyway).
+      case None => CandidateGen.generate(index, P, 1).foreach(local += _)
+    }
+    var universal = if (useUniversal) regen() else mutable.LinkedHashSet.empty[String]
 
-    strategy match {
-      case Strategy.LocalSearch =>
-        // Alg. 3. The seed is pre-verified: expand its neighborhood directly.
-        seedRule.foreach { r => local -= r; addLocalParents(r); addLocalChildren(r) }
-        prune(local)
-        while (oracle.queries < budget && local.nonEmpty) {
-          val r = pick(local, byBenefit).get
-          local -= r; asked += r
-          if (!redundant(r)) {
-            val yes = askOracle(r)
-            if (yes) { accept(r); addLocalParents(r) } else addLocalChildren(r)
-            record(r, yes)
-          }
-          prune(local)
-        }
-
-      case Strategy.UniversalSearch =>
-        var continueLoop = true
-        while (continueLoop && oracle.queries < budget && universal.nonEmpty) {
-          val r = pick(universal, byBenefit).get
-          if (avgBenefit(r) <= cfg.minAvgBenefit || redundant(r)) {
-            universal -= r // skipped, no oracle cost (see DESIGN.md)
+    var inUniversal = useUniversal
+    var attempt     = 0 // consecutive oracle rejections (not benefit skips)
+    def pool = if (inUniversal) universal else local
+    def flip(): Unit = { inUniversal = !inUniversal; attempt = 0 }
+    while (oracle.queries < budget && { pruneLocal(); local.nonEmpty || universal.nonEmpty }) {
+      if (attempt > tau) flip()
+      if (pool.isEmpty) flip()
+      val r = pick(pool, key).get
+      if (inUniversal && skipLowAvg && avgBenefit(r) <= cfg.minAvgBenefit) {
+        universal -= r // skipped, no oracle cost (see DESIGN.md)
+      } else {
+        universal -= r; local -= r; asked += r
+        if (!redundant(r)) {
+          val yes = askOracle(r)
+          if (yes) {
+            attempt = 0
+            accept(r)
+            if (useLocal) addLocalParents(r)
+            if (useUniversal) universal = regen()
           } else {
-            universal -= r; asked += r
-            val yes = askOracle(r)
-            if (yes) { accept(r); universal = regen() }
-            record(r, yes)
+            attempt += 1
+            if (useLocal) addLocalChildren(r)
           }
-          continueLoop = universal.nonEmpty
+          record(r, yes)
         }
-
-      case Strategy.HybridSearch(tau) =>
-        seedRule.foreach { r => local -= r; addLocalParents(r); addLocalChildren(r) }
-        var universalMode = true
-        var attempt       = 0
-        var exhausted     = 0
-        while (oracle.queries < budget && exhausted < 2) {
-          // τ consecutive *oracle failures* flip the mode (paper §3.6: the
-          // number of unsuccessful attempts before the switch happens)
-          if (attempt > tau) { universalMode = !universalMode; attempt = 0 }
-          val pool = if (universalMode) universal else local
-          prune(pool)
-          if (pool.isEmpty) {
-            universalMode = !universalMode; attempt = 0; exhausted += 1
-          } else {
-            exhausted = 0
-            val r = pick(pool, byBenefit).get
-            if (universalMode && avgBenefit(r) <= cfg.minAvgBenefit) {
-              universal -= r // filtered, not an attempt and not a query
-            } else if (redundant(r)) {
-              universal -= r; local -= r; asked += r
-            } else {
-              universal -= r; local -= r; asked += r
-              val yes = askOracle(r)
-              if (yes) {
-                attempt = 0
-                accept(r); addLocalParents(r); universal = regen()
-              } else { attempt += 1; addLocalChildren(r) }
-              record(r, yes)
-            }
-          }
-        }
-
-      case Strategy.HighP =>
-        while (oracle.queries < budget && universal.nonEmpty) {
-          val r = pick(universal, byAvgBenefit).get
-          universal -= r; asked += r
-          if (!redundant(r)) {
-            val yes = askOracle(r)
-            if (yes) { accept(r); universal = regen() }
-            record(r, yes)
-          }
-        }
-
-      case Strategy.HighC =>
-        while (oracle.queries < budget && universal.nonEmpty) {
-          val r = pick(universal, byCoverage).get
-          universal -= r; asked += r
-          if (!redundant(r)) {
-            val yes = askOracle(r)
-            if (yes) { accept(r); universal = regen() }
-            record(r, yes)
-          }
-        }
+      }
     }
 
     DarwinResult(R.toVector, P, trace.result(), model)

@@ -2,7 +2,7 @@ package repro.eval
 
 import repro.baselines.{ActiveLearning, KeywordSampling, Snuba}
 import repro.core._
-import repro.data.{DatasetSpec, SplitMix}
+import repro.data.{DatasetSpec, Datasets, SplitMix}
 import repro.weak.LabelModel
 
 /** Shared experiment harness: every paper table/claim is produced here and
@@ -91,7 +91,7 @@ object Experiments {
                       cfg: DarwinConfig = DarwinConfig()): Vector[SeedSweepRow] = {
     val exclude = if (biased) {
       require(prep.positiveIds.nonEmpty)
-      Datasets_biasToken(prep.name)
+      Datasets.all.find(_.name == prep.name).flatMap(_.biasToken)
     } else None
     seedSizes.toVector.map { size =>
       val labeled = sampleSeed(prep, size, seed + size, exclude)
@@ -102,9 +102,6 @@ object Experiments {
       SeedSweepRow(size, prep.recall(dRes.positives), prep.recall(sRes.positives))
     }
   }
-
-  private def Datasets_biasToken(name: String): Option[String] =
-    repro.data.Datasets.all.find(_.name == name).flatMap(_.biasToken)
 
   // ---------------------------------------------------------------- Fig 9 (coverage + F1)
 

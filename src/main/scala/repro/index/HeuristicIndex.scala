@@ -28,6 +28,7 @@ final class HeuristicIndex(
     val n: Int,
     val entries: Map[String, IndexEntry],
     val childrenMap: Map[String, Vector[String]],
+    parentsMap: Map[String, Vector[String]],
     val rootChildren: Vector[String],
 ) extends Serializable {
 
@@ -40,9 +41,10 @@ final class HeuristicIndex(
     if (p == HeuristicIndex.Root) rootChildren
     else childrenMap.getOrElse(p, Vector.empty)
 
-  /** Parents of ``p`` present in the index. */
-  def parents(p: String): Vector[String] =
-    Heuristic.parse(p).parents.map(_.repr).filter(entries.contains).toVector
+  /** Parents of ``p`` present in the index (empty for a pattern that is
+    * not indexed).
+    */
+  def parents(p: String): Vector[String] = parentsMap.getOrElse(p, Vector.empty)
 
   /** |C_p ∩ P| for a driver-side positive set. */
   def posCount(p: String, pos: java.util.BitSet): Int = {
@@ -124,10 +126,12 @@ object HeuristicIndex {
     * to build small indexes directly).
     */
   def fromEntries(n: Int, entries: Map[String, IndexEntry]): HeuristicIndex = {
+    val parents = entries.map { case (p, _) =>
+      p -> Heuristic.parse(p).parents.map(_.repr).filter(entries.contains).toVector
+    }
     val children = mutable.HashMap.empty[String, mutable.ArrayBuffer[String]]
     val roots    = mutable.ArrayBuffer.empty[String]
-    for (p <- entries.keys) {
-      val present = Heuristic.parse(p).parents.map(_.repr).filter(entries.contains)
+    for ((p, present) <- parents) {
       if (present.isEmpty) roots += p
       else present.foreach(q => children.getOrElseUpdate(q, mutable.ArrayBuffer.empty) += p)
     }
@@ -135,6 +139,7 @@ object HeuristicIndex {
       n,
       entries,
       children.view.mapValues(_.sorted.toVector).toMap,
+      parents,
       roots.sorted.toVector,
     )
   }

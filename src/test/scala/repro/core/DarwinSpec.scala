@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.SparkSession
 import repro.{SparkSpec, TestCorpora}
-import repro.data.Datasets
+import repro.data.{DatasetSpec, Datasets}
 
 class DarwinSpec extends SparkSpec {
 
@@ -11,6 +12,75 @@ class DarwinSpec extends SparkSpec {
                     st: Strategy): (DarwinResult, ExactOracle) = {
     val oracle = new ExactOracle(prep.gt)
     (new Darwin(prep, oracle).run(seedRule, budget, st), oracle)
+  }
+
+  // Golden traces: every strategy at budget 100 on the five small corpora,
+  // each pinned as (queries, rules, digest of the (rule, answer, pSize)
+  // trace and the final model bits). Any change to which rule is asked
+  // when, or to the retrain sequence, shows up here.
+  private val smallCorpora: Seq[(DatasetSpec, SparkSession => PreparedCorpus)] = Seq(
+    Datasets.tweets      -> TestCorpora.tweetsSmall,
+    Datasets.directions  -> TestCorpora.directionsSmall,
+    Datasets.musicians   -> TestCorpora.musiciansSmall,
+    Datasets.causeEffect -> TestCorpora.causeEffectSmall,
+    Datasets.professions -> TestCorpora.professionsSmall,
+  )
+
+  private def fingerprint(res: DarwinResult): (Int, Int, String) = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    for (e <- res.trace)
+      md.update(s"${e.rule}\u0000${e.answer}\u0000${e.pSize}\n".getBytes("UTF-8"))
+    val bits = java.nio.ByteBuffer.allocate(8 * (res.model.w.length + 1))
+    res.model.w.foreach(bits.putDouble)
+    bits.putDouble(res.model.b)
+    md.update(bits.array())
+    (res.queries, res.rules.length, md.digest().take(8).map("%02x".format(_)).mkString)
+  }
+
+  private def golden(st: Strategy, expected: (String, (Int, Int, String))*): Unit =
+    test(s"golden trace: ${st.label} at budget 100 on the small corpora") {
+      val got = smallCorpora.map { case (spec, corpus) =>
+        spec.name -> fingerprint(runOn(corpus(spark), spec.seedRule, 100, st)._1)
+      }
+      assert(got === expected)
+    }
+
+  golden(Strategy.LocalSearch,
+    "tweets"       -> ((0, 1, "f5e70ecba00a113d")),
+    "directions"   -> ((3, 1, "45f1764f3281641d")),
+    "musicians"    -> ((0, 1, "197e23e50e96c3f4")),
+    "cause-effect" -> ((0, 1, "bc1cdb6c3946fd94")),
+    "professions"  -> ((3, 3, "6770ca2e5ca9fe7a")))
+  golden(Strategy.UniversalSearch,
+    "tweets"       -> ((9, 9, "f7fe58ab2821840d")),
+    "directions"   -> ((47, 6, "f9c937c9000a6bfd")),
+    "musicians"    -> ((15, 14, "938772b868f84d0a")),
+    "cause-effect" -> ((4, 5, "d9a28005bbefd7b0")),
+    "professions"  -> ((11, 3, "e2a728f4794ced66")))
+  golden(hs,
+    "tweets"       -> ((16, 9, "00d4eb576e767faa")),
+    "directions"   -> ((70, 6, "c180d4729b362198")),
+    "musicians"    -> ((17, 14, "15cd25ca6e68db60")),
+    "cause-effect" -> ((4, 5, "d9a28005bbefd7b0")),
+    "professions"  -> ((13, 3, "e2a37e1398164c44")))
+  golden(Strategy.HighP,
+    "tweets"       -> ((90, 17, "845321930b82ccd6")),
+    "directions"   -> ((100, 6, "60d3bfd26ef2d2b7")),
+    "musicians"    -> ((100, 42, "39b254df6588461c")),
+    "cause-effect" -> ((100, 5, "b7bddec4dd1d9719")),
+    "professions"  -> ((100, 4, "a11edc091a3fe3e6")))
+  golden(Strategy.HighC,
+    "tweets"       -> ((82, 9, "47a305ac5a8ea6ec")),
+    "directions"   -> ((100, 1, "ec50cb7ae81a9c85")),
+    "musicians"    -> ((100, 1, "0b9c4d07778f0a44")),
+    "cause-effect" -> ((100, 4, "f3425e47a10485d7")),
+    "professions"  -> ((100, 1, "a8daf6e788d03d01")))
+
+  test("golden trace: HS runFromPositives at budget 100 on tweets (small)") {
+    val prep = TestCorpora.tweetsSmall(spark)
+    val res = new Darwin(prep, new ExactOracle(prep.gt))
+      .runFromPositives(prep.positiveIds.take(3), 100, hs)
+    assert(fingerprint(res) === ((20, 9, "f198d6453f3368a5")))
   }
 
   test("HS discovers most positives on tweets (small)") {

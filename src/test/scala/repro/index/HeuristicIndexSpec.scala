@@ -61,6 +61,12 @@ class HeuristicIndexSpec extends SparkSpec {
     }
   }
 
+  test("parents() is the grammar's parents that are indexed, in grammar order") {
+    for (p <- index.entries.keys)
+      assert(index.parents(p) ===
+        Heuristic.parse(p).parents.map(_.repr).filter(index.contains).toVector, p)
+  }
+
   test("root children have no indexed parent") {
     for (p <- index.rootChildren.take(200))
       assert(index.parents(p).isEmpty, s"$p has parents but is a root child")
@@ -92,6 +98,7 @@ class HeuristicIndexSpec extends SparkSpec {
     assert(index.count("G:zzz nope") === 0)
     assert(index.ids("G:zzz nope").isEmpty)
     assert(index.children("G:zzz nope").isEmpty)
+    assert(index.parents("G:zzz nope").isEmpty)
   }
 
   test("phrase n-gram counts match DuckDB oracle") {
