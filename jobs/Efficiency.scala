@@ -30,7 +30,7 @@ object Efficiency {
       PreparedCorpus.prepare(spark, spec, JobSession.scaled(spec.n, scale))
     }
     println(s"[efficiency] corpus=${prep.n} positives=${prep.nPos} " +
-            s"index patterns=${prep.index.entries.size}")
+            s"index ${prep.index.stats.summary}")
 
     val res = timed("Darwin(HS) discovery loop, budget 100") {
       val oracle = new ExactOracle(prep.gt)

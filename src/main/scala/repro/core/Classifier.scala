@@ -46,7 +46,7 @@ object Classifier {
     */
   def train(features: Array[Array[Float]], posIdx: Array[Int], negIdx: Array[Int],
             cfg: Config = Config()): Model = {
-    val dim = if (features.nonEmpty) features(0).length else 0
+    val dim = dimOf(features)
     val w   = new Array[Double](dim)
     var b   = 0.0
     if (posIdx.isEmpty || negIdx.isEmpty) return Model(w, b)
@@ -87,7 +87,7 @@ object Classifier {
   def trainOnPositives(features: Array[Array[Float]], pos: java.util.BitSet,
                        n: Int, seed: Long, cfg: Config = Config()): Model = {
     val posIdx = bitsetIndices(pos)
-    if (posIdx.isEmpty) return Model(new Array[Double](Embedding.dimOf(features)), 0.0)
+    if (posIdx.isEmpty) return Model(new Array[Double](dimOf(features)), 0.0)
     val rng    = new SplitMix(seed)
     val want   = math.min(n - posIdx.length, math.max(8, cfg.negRatio * posIdx.length))
     val negSet = new java.util.BitSet(n)
@@ -107,15 +107,14 @@ object Classifier {
     out
   }
 
+  /** Feature dimension of a corpus's feature matrix (0 when it is empty). */
+  def dimOf(features: Array[Array[Float]]): Int =
+    if (features.nonEmpty) features(0).length else 0
+
   def bitsetIndices(bs: java.util.BitSet): Array[Int] = {
     val out = new Array[Int](bs.cardinality())
     var i = bs.nextSetBit(0); var k = 0
     while (i >= 0) { out(k) = i; k += 1; i = bs.nextSetBit(i + 1) }
     out
   }
-}
-
-private object Embedding {
-  def dimOf(features: Array[Array[Float]]): Int =
-    if (features.nonEmpty) features(0).length else 0
 }

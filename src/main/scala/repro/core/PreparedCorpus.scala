@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.data.{CorpusGen, DatasetSpec}
 import repro.grammar.SketchConfig
 import repro.index.HeuristicIndex
-import repro.text.{Embeddings, Pipeline}
+import repro.text.Embeddings
 
 /** Driver-side view of a prepared corpus: the pruned heuristic index, the
   * per-sentence embedding features, and the hidden ground truth (used only
@@ -49,28 +49,26 @@ final class PreparedCorpus(
 
 object PreparedCorpus {
 
-  /** Generate, parse, feature-extract and index a dataset through Spark. */
+  /** Generate, parse, feature-extract and index a dataset in one Spark
+    * pass: each sentence is parsed once, for both its sketches and its
+    * features.
+    */
   def prepare(spark: SparkSession, spec: DatasetSpec,
               nOverride: Option[Long] = None,
               cfg: SketchConfig = SketchConfig(),
               minCover: Option[Int] = None,
               maxCoverFrac: Double = 0.2): PreparedCorpus = {
-    import spark.implicits._
-    val corpus = CorpusGen.corpus(spark, spec, nOverride)
-    val n      = nOverride.getOrElse(spec.n).toInt
-
-    val index = HeuristicIndex.build(spark, corpus, cfg, minCover, maxCoverFrac)
-
-    val rows = corpus.map { r =>
-      val p = Pipeline.parse(r.text)
-      (r.id, r.label, Embeddings.features(p.tokens, p.pos))
-    }.collect()
+    val parts = HeuristicIndex.scan(CorpusGen.corpus(spark, spec, nOverride), cfg) {
+      (row, parsed) => (row.id.toInt, row.label, Embeddings.features(parsed.tokens, parsed.pos))
+    }
+    val index = HeuristicIndex.merge(parts, minCover, maxCoverFrac)
+    val n     = index.n
 
     val features = new Array[Array[Float]](n)
     val gt       = new java.util.BitSet(n)
-    for ((id, label, vec) <- rows) {
-      features(id.toInt) = vec
-      if (label == 1) gt.set(id.toInt)
+    for (part <- parts; (id, label, vec) <- part.perRow) {
+      features(id) = vec
+      if (label == 1) gt.set(id)
     }
     new PreparedCorpus(spec.name, n, index, features, gt)
   }

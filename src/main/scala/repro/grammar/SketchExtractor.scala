@@ -6,10 +6,11 @@ import scala.collection.mutable
 /** Derivation-sketch extraction (paper §3.1).
   *
   * For a parsed sentence, enumerates the canonical ``repr`` strings of all
-  * heuristics *in the indexed family* that the sentence satisfies. The
-  * exploded output feeds the distributed index build: Spark's
-  * ``explode → groupBy(pattern)`` aggregation is the paper's
-  * "build per-part sketches, then merge" parallel index construction.
+  * heuristics *in the indexed family* that the sentence satisfies. Each
+  * Spark partition of the index build adds its sentences' patterns to its
+  * own posting map, and the driver merges the partition maps once — the
+  * paper's "build per-part sketches, then merge" parallel index
+  * construction (see [[repro.index.HeuristicIndex]]).
   *
   * Indexed family (bounded so the index stays linear in corpus size, as
   * the paper's fixed derivation depth does):

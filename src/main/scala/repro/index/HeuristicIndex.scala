@@ -1,11 +1,11 @@
 package repro.index
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.data.CorpusRow
 import repro.grammar.{Heuristic, SketchConfig, SketchExtractor}
-import repro.text.Pipeline
+import repro.text.{Parsed, Pipeline}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** One indexed heuristic: its corpus coverage count and inverted list
   * (sorted sentence ids). The inverted list is exact — extraction is
@@ -13,16 +13,47 @@ import scala.collection.mutable
   */
 final case class IndexEntry(pattern: String, count: Int, ids: Array[Int])
 
+/** One corpus partition's share of the index build: each pattern its
+  * sentences emitted with their ids (in arrival order, so not necessarily
+  * sorted), and one caller-chosen value per row.
+  */
+private[repro] final case class IndexPart[A](patterns: Array[String],
+                                              postings: Array[Array[Int]], perRow: Array[A]) {
+  def rows: Int = perRow.length
+}
+
+/** What an index build emitted, kept and pruned: ``patternsKept +
+  * prunedLow + prunedHigh == patternsEmitted``, and ``postingsKept`` is the
+  * sum of the kept counts. An index assembled by
+  * [[HeuristicIndex.fromEntries]] saw no emitted patterns, so its emitted
+  * and pruned counts are zero.
+  */
+final case class IndexStats(
+    rows: Int,
+    patternsEmitted: Int,
+    postingsEmitted: Long,
+    patternsKept: Int,
+    prunedLow: Int,
+    prunedHigh: Int,
+    postingsKept: Long,
+    longestList: Int,
+) {
+  def summary: String =
+    s"rows=$rows emitted=$patternsEmitted patterns/$postingsEmitted postings " +
+    s"kept=$patternsKept prunedLow=$prunedLow prunedHigh=$prunedHigh " +
+    s"keptPostings=$postingsKept longestList=$longestList"
+}
+
 /** The corpus index of paper §3.1: a compact representation of every
   * heuristic satisfied by at least ``minCover`` (and at most
   * ``maxCoverFrac·n``) sentences, with counts, inverted lists, and
   * parent/child navigation following the grammar's derivation rules.
   *
-  * Built distributively by [[HeuristicIndex.build]]: per-sentence
-  * derivation sketches are exploded and merged with a Spark
-  * ``groupBy(pattern)`` aggregation — the paper's "index structures for
-  * different parts of the corpus are created independently and then
-  * merged", with Spark's partial aggregation playing the merge.
+  * Built by [[HeuristicIndex.build]] the way the paper describes: "index
+  * structures for different parts of the corpus are created independently
+  * and then merged". Each Spark partition builds its own pattern → ids
+  * posting map from its sentences' derivation sketches, and the driver
+  * merges the partition maps once.
   */
 final class HeuristicIndex(
     val n: Int,
@@ -30,6 +61,7 @@ final class HeuristicIndex(
     val childrenMap: Map[String, Vector[String]],
     parentsMap: Map[String, Vector[String]],
     val rootChildren: Vector[String],
+    val stats: IndexStats,
 ) extends Serializable {
 
   def contains(p: String): Boolean = entries.contains(p)
@@ -65,7 +97,8 @@ object HeuristicIndex {
   def defaultMinCover(n: Long): Int =
     math.max(2, math.ceil(math.log(n.toDouble.max(2))).toInt)
 
-  /** Distributed index build over a generated corpus.
+  /** Distributed index build over a generated corpus: one
+    * [[HeuristicIndex.scan]] of the corpus, then one [[HeuristicIndex.merge]].
     *
     * @param maxCoverFrac heuristics covering more than this fraction of the
     *   corpus are pruned from the index — they can never reach precision
@@ -74,58 +107,80 @@ object HeuristicIndex {
   def build(spark: SparkSession, corpus: Dataset[CorpusRow],
             cfg: SketchConfig = SketchConfig(),
             minCover: Option[Int] = None,
-            maxCoverFrac: Double = 0.2): HeuristicIndex = {
-    import spark.implicits._
-    import org.apache.spark.sql.functions._
+            maxCoverFrac: Double = 0.2): HeuristicIndex =
+    merge(scan(corpus, cfg)((_, _) => ()), minCover, maxCoverFrac)
 
-    val total = corpus.count()
+  /** Parses every sentence of ``corpus`` once, in one Spark job, and
+    * returns one [[IndexPart]] per partition: its posting lists, and
+    * ``perRow`` of each row and its parse (the caller's side output).
+    *
+    * The parts come back through an RDD ``collect``, not a shuffle: an RDD
+    * shuffle of (String, Array[Int]) would make Spark pick Kryo, which
+    * fails on JVMs started without ``--add-opens``.
+    */
+  private[repro] def scan[A: ClassTag](corpus: Dataset[CorpusRow], cfg: SketchConfig)(
+      perRow: (CorpusRow, Parsed) => A): Array[IndexPart[A]] =
+    corpus.rdd.mapPartitions { rows =>
+      val lists = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
+      val side  = mutable.ArrayBuilder.make[A]
+      rows.foreach { row =>
+        val parsed = Pipeline.parse(row.text)
+        val sid    = row.id.toInt
+        SketchExtractor.patterns(parsed, cfg).foreach { p =>
+          lists.getOrElseUpdate(p, new mutable.ArrayBuilder.ofInt).addOne(sid)
+        }
+        side.addOne(perRow(row, parsed))
+      }
+      val patterns = lists.keysIterator.toArray
+      Iterator.single(IndexPart(patterns, patterns.map(lists(_).result()), side.result()))
+    }.collect()
+
+  /** Merges the parts of a [[HeuristicIndex.scan]] once, on the driver:
+    * sums each pattern's count over the parts, keeps the patterns whose
+    * coverage lies in ``[minCover, maxCoverFrac·n]``, and concatenates and
+    * sorts their lists. ``n`` is the parts' total row count.
+    */
+  private[repro] def merge(parts: Iterable[IndexPart[_]], minCover: Option[Int],
+                           maxCoverFrac: Double): HeuristicIndex = {
+    val total = parts.iterator.map(_.rows.toLong).sum
     val minC  = minCover.getOrElse(defaultMinCover(total))
     val maxC  = math.max(minC.toLong, (maxCoverFrac * total).toLong)
 
-    val exploded = corpus
-      .flatMap(row => SketchExtractor.patterns(Pipeline.parse(row.text), cfg)
-        .map(p => (p, row.id.toInt)))
-      .toDF("pattern", "sid")
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    val chunks = mutable.HashMap.empty[String, List[Array[Int]]]
+    for (part <- parts; k <- part.patterns.indices)
+      chunks(part.patterns(k)) = part.postings(k) :: chunks.getOrElse(part.patterns(k), Nil)
 
-    try {
-      val kept = exploded.groupBy($"pattern").agg(count(lit(1)) as "cnt")
-        .filter($"cnt" >= minC && $"cnt" <= maxC)
-        .select($"pattern")
-
-      // Pack inverted lists to binary on the executors: collecting
-      // Seq[Int] would box hundreds of millions of Integers on the driver
-      // at the 1M-sentence scale.
-      val pack = udf { (sids: Seq[Int]) =>
-        val bb = java.nio.ByteBuffer.allocate(4 * sids.length)
-        sids.foreach(bb.putInt)
-        bb.array()
+    var postings = 0L; var keptPostings = 0L; var longest = 0; var low = 0; var high = 0
+    val entries = Map.newBuilder[String, IndexEntry]
+    for ((p, lists) <- chunks) {
+      val count = lists.iterator.map(_.length).sum
+      postings += count
+      if (count < minC) low += 1
+      else if (count > maxC) high += 1
+      else {
+        val ids = Array.concat(lists: _*)
+        java.util.Arrays.sort(ids)
+        entries += p -> IndexEntry(p, count, ids)
+        keptPostings += count
+        longest = math.max(longest, count)
       }
-      val rows = exploded
-        .join(broadcast(kept), "pattern")
-        .groupBy($"pattern")
-        .agg(collect_list($"sid") as "sids")
-        .select($"pattern", pack($"sids") as "packed")
-        .as[(String, Array[Byte])]
-        .collect()
-
-      val entries = rows.iterator.map { case (p, packed) =>
-        val bb  = java.nio.ByteBuffer.wrap(packed)
-        val arr = new Array[Int](packed.length / 4)
-        var i = 0
-        while (i < arr.length) { arr(i) = bb.getInt(); i += 1 }
-        java.util.Arrays.sort(arr)
-        p -> IndexEntry(p, arr.length, arr)
-      }.toMap
-
-      fromEntries(total.toInt, entries)
-    } finally { exploded.unpersist(); () }
+    }
+    val kept = entries.result()
+    assemble(total.toInt, kept, IndexStats(total.toInt, chunks.size, postings, kept.size,
+                                           low, high, keptPostings, longest))
   }
 
-  /** Assemble navigation maps from collected entries (also used by tests
-    * to build small indexes directly).
+  /** Assemble navigation maps from given entries (used by tests to build
+    * small indexes directly). The stats count only what is kept.
     */
   def fromEntries(n: Int, entries: Map[String, IndexEntry]): HeuristicIndex = {
+    val counts = entries.valuesIterator.map(_.count).toArray
+    assemble(n, entries, IndexStats(n, 0, 0L, counts.length, 0, 0,
+                                    counts.map(_.toLong).sum, counts.maxOption.getOrElse(0)))
+  }
+
+  private def assemble(n: Int, entries: Map[String, IndexEntry],
+                       stats: IndexStats): HeuristicIndex = {
     val parents = entries.map { case (p, _) =>
       p -> Heuristic.parse(p).parents.map(_.repr).filter(entries.contains).toVector
     }
@@ -141,6 +196,7 @@ object HeuristicIndex {
       children.view.mapValues(_.sorted.toVector).toMap,
       parents,
       roots.sorted.toVector,
+      stats,
     )
   }
 }

@@ -1,8 +1,9 @@
 package repro.index
 
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestCorpora}
-import repro.data.{CorpusGen, Datasets}
+import repro.data.{CorpusGen, CorpusRow, Datasets, DatasetSpec}
 import repro.grammar.{Heuristic, SketchConfig, SketchExtractor}
 import repro.text.Pipeline
 
@@ -14,6 +15,66 @@ class HeuristicIndexSpec extends SparkSpec {
 
   private lazy val parsedAll =
     (0L until nSmall).map(id => Pipeline.parse(Datasets.tweets.sentence(id)._1)).toVector
+
+  private def idsByPattern(idx: HeuristicIndex): Map[String, Vector[Int]] =
+    idx.entries.map { case (p, e) => p -> e.ids.toVector }
+
+  /** The entries as the index used to be built, kept here as a reference:
+    * explode every sentence's sketches into (pattern, sid) rows, then one
+    * Spark SQL ``groupBy`` for the counts and the ``collect_list`` of ids,
+    * with the build's default bounds.
+    */
+  private def referenceEntries(spec: DatasetSpec, n: Long): Map[String, Vector[Int]] = {
+    import spark.implicits._
+    val minC = HeuristicIndex.defaultMinCover(n)
+    val maxC = math.max(minC.toLong, (0.2 * n).toLong)
+    CorpusGen.corpus(spark, spec, Some(n))
+      .map(r => (r.id.toInt, SketchExtractor.patterns(Pipeline.parse(r.text))))
+      .toDF("sid", "patterns")
+      .select(explode($"patterns") as "pattern", $"sid")
+      .groupBy($"pattern")
+      .agg(count(lit(1)) as "cnt", collect_list($"sid") as "sids")
+      .filter($"cnt" >= minC && $"cnt" <= maxC)
+      .select($"pattern", $"sids")
+      .as[(String, Seq[Int])]
+      .collect()
+      .map { case (p, sids) => p -> sids.sorted.toVector }
+      .toMap
+  }
+
+  test("build matches the explode/groupBy/collect_list reference (tweets 800, professions 4000)") {
+    assert(idsByPattern(index) === referenceEntries(Datasets.tweets, nSmall))
+    assert(idsByPattern(TestCorpora.professionsSmall(spark).index) ===
+      referenceEntries(Datasets.professions, 4000L))
+  }
+
+  test("the build does not depend on how the corpus is partitioned") {
+    val corpus = CorpusGen.corpus(spark, Datasets.tweets, Some(nSmall))
+    def built(c: Dataset[CorpusRow]) = idsByPattern(HeuristicIndex.build(spark, c))
+    val asGenerated = built(corpus)
+    assert(asGenerated === idsByPattern(index))
+    assert(built(corpus.repartition(1)) === asGenerated)
+    val shuffled = corpus.repartition(7)
+    // the shuffle hands each partition its ids out of order, so only the
+    // merge's sort keeps the lists identical
+    val parts = HeuristicIndex.scan(shuffled, SketchConfig())((_, _) => ())
+    assert(parts.length === 7)
+    assert(parts.exists(_.postings.exists(ids => !ids.sameElements(ids.sorted))))
+    assert(built(shuffled) === asGenerated)
+  }
+
+  test("index stats: kept and pruned patterns add up to the emitted ones") {
+    val s        = index.stats
+    val sketches = parsedAll.map(p => SketchExtractor.patterns(p))
+    assert(s.rows === nSmall)
+    assert(s.patternsEmitted === sketches.flatten.distinct.size)
+    assert(s.postingsEmitted === sketches.map(_.length.toLong).sum)
+    assert(s.patternsKept === index.entries.size)
+    assert(s.patternsKept + s.prunedLow + s.prunedHigh === s.patternsEmitted)
+    assert(s.prunedLow > 0 && s.prunedHigh > 0)
+    assert(s.postingsKept === index.entries.valuesIterator.map(_.count.toLong).sum)
+    assert(s.longestList === index.entries.valuesIterator.map(_.count).max)
+  }
 
   test("index contains the seed rules of every dataset (small builds)") {
     assert(TestCorpora.tweetsSmall(spark).index.contains("G:craving"))
@@ -128,6 +189,8 @@ class HeuristicIndexSpec extends SparkSpec {
     assert(idx.children("G:a") === Vector("G:a b"))
     assert(idx.children("G:b") === Vector("G:a b"))
     assert(idx.parents("G:a b").toSet === Set("G:a", "G:b"))
+    assert(idx.stats === IndexStats(rows = 3, patternsEmitted = 0, postingsEmitted = 0L,
+      patternsKept = 3, prunedLow = 0, prunedHigh = 0, postingsKept = 7L, longestList = 3))
   }
 
   test("index build respects a custom maxCoverFrac") {
