@@ -1,29 +1,15 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-import repro.core.PreparedCorpus
-import repro.data.DatasetSpec
+import repro.SparkSpec
+import repro.eval.Experiments.Corpora
+import repro.jobs.Paper
 
-/** Shared cache of full-size prepared corpora for the bench run. The
-  * benches run the paper's evaluation at the paper's dataset sizes
-  * (Table 1), so preparation is expensive — do it once per dataset.
-  *
-  * ``BENCH_SCALE`` (default 1.0) shrinks every dataset for smoke runs.
+/** The corpora of one bench run, shared by all suites so that each dataset
+  * is prepared once. The benches run the paper's evaluation at the paper's
+  * dataset sizes (Table 1); ``BENCH_SCALE`` (default 1.0) shrinks every
+  * dataset for smoke runs, exactly as the job's `--scale` does.
   */
 object BenchCorpora {
-  private val cache = scala.collection.concurrent.TrieMap.empty[String, PreparedCorpus]
-
-  val scale: Double = sys.env.getOrElse("BENCH_SCALE", "1.0").toDouble
-
-  def sizeOf(spec: DatasetSpec): Long =
-    if (scale >= 1.0) spec.n else math.max(500L, (spec.n * scale).toLong)
-
-  def prepared(spark: SparkSession, spec: DatasetSpec): PreparedCorpus =
-    cache.getOrElseUpdate(spec.name, {
-      val t0 = System.nanoTime()
-      val p = PreparedCorpus.prepare(spark, spec, Some(sizeOf(spec)))
-      println(f"[bench] prepared ${spec.name} n=${p.n} positives=${p.nPos} " +
-              f"index=${p.index.entries.size} in ${(System.nanoTime() - t0) / 1e9}%.1f s")
-      p
-    })
+  lazy val corpora: Corpora =
+    new Corpora(SparkSpec.shared, Paper.scale(sys.env.getOrElse("BENCH_SCALE", "1.0")))
 }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.eval.Experiments
 
 /** Fig. 9 (a–d) reproduction: progressive rule coverage per traversal
@@ -13,23 +12,13 @@ import repro.eval.Experiments
 class RuleCoverageBench extends SparkSpec {
 
   test("Fig 9 (coverage): traversal strategies at budget 150") {
-    val specs = Seq(Datasets.causeEffect, Datasets.musicians,
-                    Datasets.directions, Datasets.tweets)
-    val checkpoints = Seq(0, 25, 50, 100, 150)
-    def at(curve: Vector[(Int, Double)], q: Int): Double =
-      curve.filter(_._1 <= q).lastOption.map(_._2).getOrElse(0.0)
-
-    val all = specs.map { spec =>
-      val prep = BenchCorpora.prepared(spark, spec)
-      val runs = Experiments.strategySweep(prep, spec.seedRule, budget = 150)
-      println(s"\n=== Fig 9 coverage (${spec.name}) ===")
-      println(Experiments.renderTable(
-        "strategy" +: checkpoints.map(c => s"b=$c"),
-        runs.map(r => r.strategy +: checkpoints.map(c => f"${at(r.curve, c)}%.2f"))))
-      spec.name -> runs.map(r => r.strategy -> r.finalRecall).toMap
+    val result = Experiments.coverage(BenchCorpora.corpora)
+    println(result.table)
+    val all = result.rows.map { case (name, runs) =>
+      name -> runs.map(r => r.strategy -> r.finalRecall).toMap
     }
 
-    if (BenchCorpora.scale < 1.0) cancel("shape assertions need full scale")
+    if (BenchCorpora.corpora.scale < 1.0) cancel("shape assertions need full scale")
     val hsWins = all.count { case (_, m) => m("HS") >= 0.8 }
     assert(hsWins >= 3, s"HS should reach 0.8 coverage on most datasets: $all")
     // LS plateaus below HS on at least two datasets (paper: LS converges

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.eval.Experiments
 
 /** Fig. 7/8 reproduction: fraction of positives identified vs seed size,
@@ -13,40 +12,34 @@ import repro.eval.Experiments
   */
 class SnubaComparisonBench extends SparkSpec {
 
-  private val seedSizes = Seq(10, 25, 100, 200, 1000)
+  private lazy val result = {
+    val r = Experiments.snuba(BenchCorpora.corpora)
+    println(r.table)
+    r
+  }
 
-  private def run(specName: String): Unit = {
-    val spec = Datasets.byName(specName)
-    val prep = BenchCorpora.prepared(spark, spec)
-    for (biased <- Seq(false, true)) {
-      val rows = Experiments.snubaComparison(prep, seedSizes, budget = 100, biased = biased)
-      val tag = if (biased) "biased" else "random"
-      println(s"\n=== Fig ${if (biased) 8 else 7} ($specName, $tag seed): " +
-              "fraction of positives identified ===")
-      println(Experiments.renderTable(
-        Seq("seed size", "Darwin(HS)", "Snuba"),
-        rows.map(r => Seq(r.seedSize.toString, f"${r.darwinRecall}%.2f",
-                          f"${r.snubaRecall}%.2f"))))
-
+  private def check(specName: String): Unit =
+    for (sweep <- result.rows if sweep.dataset == specName) {
+      val rows = sweep.rows
+      val tag  = if (sweep.biased) "biased" else "random"
       val small = rows.filter(_.seedSize <= 25)
-      if (BenchCorpora.scale >= 1.0) for (r <- small) {
+      if (BenchCorpora.corpora.scale >= 1.0) for (r <- small) {
         assert(r.darwinRecall > 0.5,
           s"$specName/$tag seed=${r.seedSize}: Darwin recall ${r.darwinRecall}")
         assert(r.darwinRecall > r.snubaRecall,
           s"$specName/$tag seed=${r.seedSize}: Darwin ${r.darwinRecall} vs Snuba ${r.snubaRecall}")
       }
       // Snuba improves substantially with a large random sample
-      if (!biased && BenchCorpora.scale >= 1.0)
+      if (!sweep.biased && BenchCorpora.corpora.scale >= 1.0)
         assert(rows.last.snubaRecall > small.head.snubaRecall,
           s"$specName: Snuba should improve with seed size")
     }
-  }
 
   test("Fig 7/8 (directions): Darwin dominates Snuba at small and biased seeds") {
-    run("directions")
+    check("directions")
   }
 
   test("Fig 7/8 (musicians): Darwin dominates Snuba at small and biased seeds") {
-    run("musicians")
+    check("musicians")
   }
 }

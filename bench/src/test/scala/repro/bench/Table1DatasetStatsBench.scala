@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.{CorpusGen, Datasets}
+import repro.data.Datasets
 import repro.eval.Experiments
 
 /** Table 1 reproduction: dataset statistics at the paper's sizes, computed
@@ -12,28 +12,22 @@ import repro.eval.Experiments
 class Table1DatasetStatsBench extends SparkSpec {
 
   test("Table 1: dataset statistics match the paper") {
-    val rows = Datasets.all.map { spec =>
-      val df = CorpusGen.corpus(spark, spec, Some(BenchCorpora.sizeOf(spec))).toDF()
-      val (n, rate) = CorpusGen.stats(df)
-      (spec, n, rate)
-    }
-    println("\n=== Table 1: dataset statistics ===")
-    println(Experiments.renderTable(
-      Seq("dataset", "# Sentences", "% Positives", "Labeling"),
-      rows.map { case (spec, n, rate) =>
-        Seq(spec.name, n.toString, f"${100 * rate}%.1f", spec.labeling)
-      }))
+    val result = Experiments.table1(BenchCorpora.corpora)
+    println(result.table)
 
-    if (BenchCorpora.scale >= 1.0) {
-      val byName = rows.map { case (s, n, r) => s.name -> ((n, r)) }.toMap
-      assert(byName("cause-effect")._1 === 10700L)
-      assert(byName("musicians")._1 === 15800L)
-      assert(byName("directions")._1 === 15300L)
-      assert(byName("professions")._1 === 1000000L)
-      assert(byName("tweets")._1 === 2130L)
-      for ((spec, _, rate) <- rows)
+    if (BenchCorpora.corpora.scale >= 1.0) {
+      val byName = result.rows.map(r => r.name -> r.sentences).toMap
+      assert(byName("cause-effect") === 10700L)
+      assert(byName("musicians") === 15800L)
+      assert(byName("directions") === 15300L)
+      assert(byName("professions") === 1000000L)
+      assert(byName("tweets") === 2130L)
+      for (r <- result.rows) {
+        val spec = Datasets.byName(r.name)
+        val rate = r.pctPositives / 100
         assert(math.abs(rate - spec.posRate) < 0.02,
           s"${spec.name}: rate=$rate expected ~${spec.posRate}")
+      }
     }
   }
 }

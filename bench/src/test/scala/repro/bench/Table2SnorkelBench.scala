@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.eval.Experiments
 
 /** Table 2 reproduction: classifier F-score on Darwin(HS) labels vs labels
@@ -14,25 +13,16 @@ import repro.eval.Experiments
 class Table2SnorkelBench extends SparkSpec {
 
   test("Table 2: Darwin vs Darwin+Snorkel F-score") {
-    val specs = Seq(Datasets.musicians, Datasets.causeEffect,
-                    Datasets.directions, Datasets.tweets)
-    val rows = specs.map { spec =>
-      val prep = BenchCorpora.prepared(spark, spec)
-      spec -> Experiments.table2Row(prep, spec.seedRule, budget = 100)
-    }
-    println("\n=== Table 2: Darwin vs Darwin+Snorkel (paper: M 0.91/0.82, " +
-            "C 0.79/0.78, D 0.89/0.97, F 0.87/0.87) ===")
-    println(Experiments.renderTable(
-      Seq("dataset", "Darwin", "Darwin+Snorkel"),
-      rows.map { case (s, r) => Seq(s.name, f"${r.f1Darwin}%.2f", f"${r.f1Snorkel}%.2f") }))
+    val result = Experiments.table2(BenchCorpora.corpora)
+    println(result.table)
 
-    if (BenchCorpora.scale < 1.0) cancel("shape assertions need full scale")
-    for ((spec, r) <- rows) {
-      assert(r.f1Darwin > 0.6, s"${spec.name}: Darwin F1 ${r.f1Darwin}")
+    if (BenchCorpora.corpora.scale < 1.0) cancel("shape assertions need full scale")
+    for (r <- result.rows) {
+      assert(r.f1Darwin > 0.6, s"${r.name}: Darwin F1 ${r.f1Darwin}")
       // Snorkel-style de-noising must not destroy the labels (paper: "in
       // most cases using Snorkel does not yield any improvements")
       assert(r.f1Snorkel > r.f1Darwin - 0.25,
-        s"${spec.name}: Snorkel F1 ${r.f1Snorkel} vs ${r.f1Darwin}")
+        s"${r.name}: Snorkel F1 ${r.f1Snorkel} vs ${r.f1Darwin}")
     }
   }
 }

@@ -3,12 +3,12 @@ package repro.eval
 import repro.{SparkSpec, TestCorpora}
 import repro.core.Strategy
 import repro.data.Datasets
+import repro.jobs.Paper
 
 class ExperimentsSpec extends SparkSpec {
 
   test("table1Row reports size, rate, labeling") {
-    val prep = TestCorpora.tweetsSmall(spark)
-    val row = Experiments.table1Row(prep, Datasets.tweets)
+    val row = Experiments.table1Row(spark, Datasets.tweets, 800L)
     assert(row.name === "tweets")
     assert(row.sentences === 800L)
     assert(row.pctPositives > 5 && row.pctPositives < 20)
@@ -70,5 +70,32 @@ class ExperimentsSpec extends SparkSpec {
     val res = Experiments.runDarwin(prep, "G:craving", 10, Strategy.HybridSearch(),
       repro.core.DarwinConfig(k = 50))
     assert(res.queries <= 10)
+  }
+
+  test("every seed rule is indexed at the advertised smoke scales 0.05 and 0.1") {
+    for (scale <- Seq(0.05, 0.1); spec <- Datasets.all) {
+      val prep = TestCorpora.prepared(spark, spec, Experiments.scaledSize(spec, scale))
+      assert(prep.index.contains(spec.seedRule),
+        s"seed rule '${spec.seedRule}' not in index for ${spec.name} at scale $scale (n=${prep.n})")
+    }
+  }
+
+  test("repro.jobs.Paper runs every experiment at scale 0.05") {
+    val corpora = new Experiments.Corpora(spark, Paper.scale("0.05"))
+    for ((name, experiment) <- Paper.experiments) {
+      val result = experiment(corpora)
+      assert(result.rows.nonEmpty, name)
+      assert(result.table.linesIterator.count(_.startsWith("|")) > 2, s"$name:\n${result.table}")
+    }
+  }
+
+  test("repro.jobs.Paper rejects an unknown experiment and a bad --scale") {
+    for (args <- Seq(Seq("table3"), Seq("table1", "--scale", "0"), Seq("table1", "--scale", "abc"),
+                     Seq("table1", "--scale", "1.5"), Seq("table1", "--scale"))) {
+      val e = intercept[IllegalArgumentException](Paper.parse(args))
+      assert(Paper.experiments.keys.forall(e.getMessage.contains), e.getMessage)
+    }
+    assert(Paper.parse(Seq("quality")) === (("quality", 1.0)))
+    assert(Paper.parse(Seq("quality", "--scale", "0.05")) === (("quality", 0.05)))
   }
 }
