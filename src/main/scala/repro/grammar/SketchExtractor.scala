@@ -5,12 +5,12 @@ import scala.collection.mutable
 
 /** Derivation-sketch extraction (paper §3.1).
   *
-  * For a parsed sentence, enumerates the canonical ``repr`` strings of all
-  * heuristics *in the indexed family* that the sentence satisfies. Each
-  * Spark partition of the index build adds its sentences' patterns to its
-  * own posting map, and the driver merges the partition maps once — the
-  * paper's "build per-part sketches, then merge" parallel index
-  * construction (see [[repro.index.HeuristicIndex]]).
+  * For a parsed sentence, enumerates every heuristic *in the indexed
+  * family* that the sentence satisfies. Each Spark partition of the index
+  * build adds its sentences' patterns to its own posting map, and the
+  * driver merges the partition maps once — the paper's "build per-part
+  * sketches, then merge" parallel index construction (see
+  * [[repro.index.HeuristicIndex]]).
   *
   * Indexed family (bounded so the index stays linear in corpus size, as
   * the paper's fixed derivation depth does):
@@ -26,6 +26,17 @@ import scala.collection.mutable
   *  - Child2Pat with a token head and children combos
   *    (Tok,Tok), (Pos,Tok), (Tok,Pos) — the paper's ``/is/NOUN∧job`` shape.
   *
+  * The enumeration builds no strings. [[SketchExtractor.keys]] emits each
+  * pattern as a packed ``Long`` key: the kind (G, T, C, D, A or C2) in the
+  * top bits, then two int ids of a [[SketchExtractor.Dictionary]]. The
+  * dictionary numbers every token and POS tag it meets (one id space), and
+  * interns term sequences — phrases and a C2 head with its first child —
+  * as a trie of ``(prefix id, term id)``, so every key is ``(kind, id,
+  * id)``. A dictionary is local to one enumeration context (a Spark
+  * partition, or one [[SketchExtractor.patterns]] call); ids mean nothing
+  * outside it. [[SketchExtractor.decode]] turns a key back into the
+  * pattern's canonical ``repr``, once per distinct key.
+  *
   * Extraction is complete for this family: ``patterns(p).contains(h.repr)``
   * iff ``h.matches(p)`` for every family heuristic ``h`` (tested).
   */
@@ -36,92 +47,230 @@ final case class SketchConfig(
 
 object SketchExtractor extends Serializable {
 
+  /** Bits of each of the two ids in a key; the kind sits above them. */
+  private final val IdBits = 30
+  private final val IdMask = (1L << IdBits) - 1
+
+  /** Number of ids a [[Dictionary]] can hand out before it fails. */
+  private final val MaxIds = 1 << IdBits
+
+  private final val G  = 1
+  private final val T  = 2
+  private final val C  = 3
+  private final val D  = 4
+  private final val A  = 5
+  private final val C2 = 6
+
+  private def key(kind: Int, a: Int, b: Int): Long =
+    (kind.toLong << (2 * IdBits)) | (a.toLong << IdBits) | b
+
+  /** Ids for the tokens, POS tags and term sequences that keys refer to.
+    * A token and a tag with the same text get different ids. A sequence
+    * id is the trie node ``(prefix id, last term id)``; a one-term
+    * sequence is the term itself. Handing out more than ``limit`` ids
+    * ([[MaxIds]], all that fit in a key) fails a ``require``, so two
+    * patterns never share a key.
+    */
+  final class Dictionary private[grammar] (limit: Int) {
+    def this() = this(MaxIds)
+
+    private val tokens = mutable.HashMap.empty[String, Int]
+    private val tags   = mutable.HashMap.empty[String, Int]
+    private val nodes  = mutable.LongMap.empty[Int]
+    // per id: the sequence's prefix id (-1 for a term) and its last term;
+    // per term id: its text and whether it is a POS tag
+    private var prefixOf = new Array[Int](64)
+    private var lastOf   = new Array[Int](64)
+    private var textOf   = new Array[String](64)
+    private var isTagOf  = new Array[Boolean](64)
+    private var size     = 0
+
+    def token(w: String): Int = tokens.getOrElseUpdate(w, add(-1, -1, w, tag = false))
+    def tag(t: String): Int   = tags.getOrElseUpdate(t, add(-1, -1, t, tag = true))
+
+    /** The sequence ``prefix`` followed by the term ``term``. */
+    def node(prefix: Int, term: Int): Int = {
+      val k  = (prefix.toLong << 32) | term
+      val id = nodes.getOrElse(k, -1)
+      if (id >= 0) id
+      else { val added = add(prefix, term, null, tag = false); nodes.update(k, added); added }
+    }
+
+    /** Canonical order of two terms: by their ``repr``, so every ``p=``
+      * sorts before every ``t=``, then by text.
+      */
+    def termLeq(x: Int, y: Int): Boolean =
+      if (isTagOf(x) != isTagOf(y)) isTagOf(x) else textOf(x).compareTo(textOf(y)) <= 0
+
+    def prefix(id: Int): Int = prefixOf(id)
+    def last(id: Int): Int   = lastOf(id)
+
+    /** Appends the ``repr`` of a term: ``t=word`` or ``p=TAG``. */
+    def term(id: Int, sb: StringBuilder): StringBuilder =
+      sb.append(if (isTagOf(id)) "p=" else "t=").append(textOf(id))
+
+    /** Appends the words of a phrase, joined by single spaces. */
+    def words(id: Int, sb: StringBuilder): StringBuilder =
+      if (prefixOf(id) < 0) sb.append(textOf(id))
+      else words(prefixOf(id), sb).append(' ').append(textOf(lastOf(id)))
+
+    private def add(prefix: Int, last: Int, text: String, tag: Boolean): Int = {
+      require(size < limit, s"sketch dictionary overflow: more than $limit terms and sequences")
+      if (size == prefixOf.length) {
+        val cap = if (size <= limit / 2) size * 2 else limit
+        prefixOf = java.util.Arrays.copyOf(prefixOf, cap)
+        lastOf   = java.util.Arrays.copyOf(lastOf, cap)
+        textOf   = java.util.Arrays.copyOf(textOf, cap)
+        isTagOf  = java.util.Arrays.copyOf(isTagOf, cap)
+      }
+      val id = size
+      prefixOf(id) = prefix
+      lastOf(id)   = if (prefix < 0) id else last
+      textOf(id)   = text
+      isTagOf(id)  = tag
+      size += 1
+      id
+    }
+  }
+
+  /** The distinct canonical ``repr``s of every family pattern ``p``
+    * satisfies: its keys, under a fresh dictionary, deduplicated and
+    * decoded.
+    */
   def patterns(p: Parsed, cfg: SketchConfig = SketchConfig()): Array[String] = {
-    val out = mutable.HashSet.empty[String]
+    val dict = new Dictionary
+    val out  = new mutable.ArrayBuilder.ofLong
+    keys(p, cfg, dict)(k => out.addOne(k))
+    val ks = out.result()
+    java.util.Arrays.sort(ks)
+    val distinct = mutable.ArrayBuilder.make[String]
+    var i = 0
+    while (i < ks.length) {
+      if (i == 0 || ks(i) != ks(i - 1)) distinct.addOne(decode(ks(i), dict))
+      i += 1
+    }
+    distinct.result()
+  }
+
+  /** Emits the key of every family pattern ``p`` satisfies, interning its
+    * terms in ``dict``. A pattern may be emitted more than once per
+    * sentence; the caller deduplicates.
+    *
+    * The A and C2 operands are put in canonical order by their ``repr``
+    * strings ([[Dictionary.termLeq]]), never by id, so a decoded key is
+    * exactly the pattern's canonical ``repr``.
+    */
+  def keys(p: Parsed, cfg: SketchConfig, dict: Dictionary)(emit: Long => Unit): Unit = {
     val n   = p.length
+    val tok = new Array[Int](n)
+    var i = 0
+    while (i < n) { tok(i) = dict.token(p.tokens(i)); i += 1 }
 
     // TokensRegex phrases
-    var i = 0
+    i = 0
     while (i < n) {
-      val sb = new StringBuilder("G:")
-      var len = 1
+      var phrase = tok(i)
+      var len    = 1
       while (len <= cfg.maxPhraseLen && i + len <= n) {
-        if (len > 1) sb.append(' ')
-        sb.append(p.tokens(i + len - 1))
-        out += sb.toString
+        if (len > 1) phrase = dict.node(phrase, tok(i + len - 1))
+        emit(key(G, phrase, 0))
         len += 1
       }
       i += 1
     }
+    if (!cfg.includeTree) return
 
-    if (cfg.includeTree) {
-      // terminals
-      i = 0
-      while (i < n) {
-        out += s"T:t=${p.tokens(i)}"
-        out += s"T:p=${p.pos(i)}"
-        i += 1
-      }
-      def terms(k: Int): Array[String] = Array(s"t=${p.tokens(k)}", s"p=${p.pos(k)}")
-
-      // ChildPat + DescPat along ancestor chains
-      var j = 0
-      while (j < n) {
-        var anc  = p.heads(j)
-        var dist = 1
-        while (anc >= 0 && dist <= Heuristic.MaxDescDist) {
-          for (a <- terms(anc); b <- terms(j)) {
-            if (dist == 1) out += s"T:C($a,$b)"
-            out += s"T:D($a,$b)"
-          }
-          anc = p.heads(anc); dist += 1
-        }
-        j += 1
-      }
-
-      // AndPat over content-token position pairs
-      val content = (0 until n).filter(k => Vocab.contentPos(p.pos(k)))
-      var x = 0
-      while (x < content.length) {
-        var y = x + 1
-        while (y < content.length) {
-          val (w1, w2) = (p.tokens(content(x)), p.tokens(content(y)))
-          val (a, b)   = if (w1 <= w2) (w1, w2) else (w2, w1)
-          out += s"T:A(t=$a,t=$b)"
-          y += 1
-        }
-        x += 1
-      }
-
-      // Child2Pat: token head with two children; combos (t,t),(p,t),(t,p)
-      i = 0
-      while (i < n) {
-        val ch = p.children(i)
-        if (ch.length >= 2) {
-          val head = s"t=${p.tokens(i)}"
-          var u = 0
-          while (u < ch.length) {
-            var v = u + 1
-            while (v < ch.length) {
-              val (cu, cv) = (ch(u), ch(v))
-              val combos = Array(
-                (s"t=${p.tokens(cu)}", s"t=${p.tokens(cv)}"),
-                (s"p=${p.pos(cu)}",    s"t=${p.tokens(cv)}"),
-                (s"t=${p.tokens(cu)}", s"p=${p.pos(cv)}"),
-              )
-              for ((b0, c0) <- combos) {
-                val (b, c) = if (b0 <= c0) (b0, c0) else (c0, b0)
-                out += s"T:C2($head,$b,$c)"
-              }
-              v += 1
-            }
-            u += 1
-          }
-        }
-        i += 1
-      }
+    // terminals
+    val tag = new Array[Int](n)
+    i = 0
+    while (i < n) {
+      tag(i) = dict.tag(p.pos(i))
+      emit(key(T, tok(i), 0))
+      emit(key(T, tag(i), 0))
+      i += 1
     }
-    out.toArray
+
+    // ChildPat + DescPat along ancestor chains, all 4 Tok/Pos combos
+    def ancestor(a: Int, b: Int, child: Boolean): Unit = {
+      if (child) emit(key(C, a, b))
+      emit(key(D, a, b))
+    }
+    var j = 0
+    while (j < n) {
+      var anc  = p.heads(j)
+      var dist = 1
+      while (anc >= 0 && dist <= Heuristic.MaxDescDist) {
+        ancestor(tok(anc), tok(j), dist == 1)
+        ancestor(tok(anc), tag(j), dist == 1)
+        ancestor(tag(anc), tok(j), dist == 1)
+        ancestor(tag(anc), tag(j), dist == 1)
+        anc = p.heads(anc); dist += 1
+      }
+      j += 1
+    }
+
+    // AndPat over content-token position pairs
+    val content = new Array[Int](n)
+    var m = 0
+    i = 0
+    while (i < n) { if (Vocab.contentPos(p.pos(i))) { content(m) = i; m += 1 }; i += 1 }
+    var x = 0
+    while (x < m) {
+      var y = x + 1
+      while (y < m) {
+        val a = tok(content(x))
+        val b = tok(content(y))
+        if (dict.termLeq(a, b)) emit(key(A, a, b)) else emit(key(A, b, a))
+        y += 1
+      }
+      x += 1
+    }
+
+    // Child2Pat: token head with two children; combos (t,t),(p,t),(t,p)
+    def child2(head: Int, b: Int, c: Int): Unit =
+      if (dict.termLeq(b, c)) emit(key(C2, dict.node(head, b), c))
+      else emit(key(C2, dict.node(head, c), b))
+    val ch = new Array[Int](n)
+    i = 0
+    while (i < n) {
+      var k = 0
+      j = 0
+      while (j < n) { if (p.heads(j) == i) { ch(k) = j; k += 1 }; j += 1 }
+      var u = 0
+      while (u < k) {
+        var v = u + 1
+        while (v < k) {
+          val cu = ch(u)
+          val cv = ch(v)
+          child2(tok(i), tok(cu), tok(cv))
+          child2(tok(i), tag(cu), tok(cv))
+          child2(tok(i), tok(cu), tag(cv))
+          v += 1
+        }
+        u += 1
+      }
+      i += 1
+    }
+  }
+
+  /** The canonical ``repr`` of a key emitted with ``dict``. */
+  def decode(k: Long, dict: Dictionary): String = {
+    val a  = ((k >>> IdBits) & IdMask).toInt
+    val b  = (k & IdMask).toInt
+    val sb = new StringBuilder(48)
+    (k >>> (2 * IdBits)).toInt match {
+      case G  => dict.words(a, sb.append("G:"))
+      case T  => dict.term(a, sb.append("T:"))
+      case C2 =>
+        dict.term(dict.prefix(a), sb.append("T:C2(")).append(',')
+        dict.term(dict.last(a), sb).append(',')
+        dict.term(b, sb).append(')')
+      case kind =>
+        val op = kind match { case C => "T:C(" case D => "T:D(" case A => "T:A(" }
+        dict.term(a, sb.append(op)).append(',')
+        dict.term(b, sb).append(')')
+    }
+    sb.toString
   }
 
   /** Is ``h`` a member of the indexed family for some sentence? Used by

@@ -114,6 +114,13 @@ object HeuristicIndex {
     * returns one [[IndexPart]] per partition: its posting lists, and
     * ``perRow`` of each row and its parse (the caller's side output).
     *
+    * The scan builds no pattern strings per sentence. Each partition keeps
+    * one [[SketchExtractor.Dictionary]] and a ``LongMap`` from packed
+    * sketch key ([[SketchExtractor.keys]]) to a growable int posting; a
+    * sentence that emits a key twice is added once, because its id is
+    * already the posting's last. At the partition's end each distinct key
+    * is decoded to its ``repr`` once.
+    *
     * The parts come back through an RDD ``collect``, not a shuffle: an RDD
     * shuffle of (String, Array[Int]) would make Spark pick Kryo, which
     * fails on JVMs started without ``--add-opens``.
@@ -121,24 +128,51 @@ object HeuristicIndex {
   private[repro] def scan[A: ClassTag](corpus: Dataset[CorpusRow], cfg: SketchConfig)(
       perRow: (CorpusRow, Parsed) => A): Array[IndexPart[A]] =
     corpus.rdd.mapPartitions { rows =>
-      val lists = mutable.HashMap.empty[String, mutable.ArrayBuilder.ofInt]
+      val dict  = new SketchExtractor.Dictionary
+      val lists = mutable.LongMap.empty[Posting]
       val side  = mutable.ArrayBuilder.make[A]
       rows.foreach { row =>
         val parsed = Pipeline.parse(row.text)
         val sid    = row.id.toInt
-        SketchExtractor.patterns(parsed, cfg).foreach { p =>
-          lists.getOrElseUpdate(p, new mutable.ArrayBuilder.ofInt).addOne(sid)
+        SketchExtractor.keys(parsed, cfg, dict) { key =>
+          var ids = lists.getOrNull(key)
+          if (ids == null) { ids = new Posting; lists.update(key, ids) }
+          ids.add(sid)
         }
         side.addOne(perRow(row, parsed))
       }
-      val patterns = lists.keysIterator.toArray
-      Iterator.single(IndexPart(patterns, patterns.map(lists(_).result()), side.result()))
+      val keyed = lists.toArray
+      Iterator.single(IndexPart(keyed.map(e => SketchExtractor.decode(e._1, dict)),
+                                keyed.map(_._2.result()), side.result()))
     }.collect()
+
+  /** One pattern's sentence ids in one partition, in arrival order; adding
+    * the id it ended with is a no-op. ``result()`` hands the ids over and
+    * drops the growable buffer, so a partition never holds every buffer
+    * and every trimmed copy at once.
+    */
+  private final class Posting {
+    private var ids  = new Array[Int](4)
+    private var size = 0
+    def add(sid: Int): Unit =
+      if (size == 0 || ids(size - 1) != sid) {
+        if (size == ids.length) ids = java.util.Arrays.copyOf(ids, size * 2)
+        ids(size) = sid
+        size += 1
+      }
+    def result(): Array[Int] = {
+      val out = if (size == ids.length) ids else java.util.Arrays.copyOf(ids, size)
+      ids = null
+      out
+    }
+  }
 
   /** Merges the parts of a [[HeuristicIndex.scan]] once, on the driver:
     * sums each pattern's count over the parts, keeps the patterns whose
-    * coverage lies in ``[minCover, maxCoverFrac·n]``, and concatenates and
-    * sorts their lists. ``n`` is the parts' total row count.
+    * coverage lies in ``[minCover, maxCoverFrac·n]``, and concatenates
+    * their lists in part order. A concatenation is sorted only if it is
+    * not already ascending, as it is whenever each partition holds an
+    * ascending id range. ``n`` is the parts' total row count.
     */
   private[repro] def merge(parts: Iterable[IndexPart[_]], minCover: Option[Int],
                            maxCoverFrac: Double): HeuristicIndex = {
@@ -146,9 +180,9 @@ object HeuristicIndex {
     val minC  = minCover.getOrElse(defaultMinCover(total))
     val maxC  = math.max(minC.toLong, (maxCoverFrac * total).toLong)
 
-    val chunks = mutable.HashMap.empty[String, List[Array[Int]]]
+    val chunks = mutable.HashMap.empty[String, mutable.ArrayBuffer[Array[Int]]]
     for (part <- parts; k <- part.patterns.indices)
-      chunks(part.patterns(k)) = part.postings(k) :: chunks.getOrElse(part.patterns(k), Nil)
+      chunks.getOrElseUpdate(part.patterns(k), mutable.ArrayBuffer.empty) += part.postings(k)
 
     var postings = 0L; var keptPostings = 0L; var longest = 0; var low = 0; var high = 0
     val entries = Map.newBuilder[String, IndexEntry]
@@ -158,8 +192,8 @@ object HeuristicIndex {
       if (count < minC) low += 1
       else if (count > maxC) high += 1
       else {
-        val ids = Array.concat(lists: _*)
-        java.util.Arrays.sort(ids)
+        val ids = Array.concat(lists.toSeq: _*)
+        if (!ascending(ids)) java.util.Arrays.sort(ids)
         entries += p -> IndexEntry(p, count, ids)
         keptPostings += count
         longest = math.max(longest, count)
@@ -168,6 +202,12 @@ object HeuristicIndex {
     val kept = entries.result()
     assemble(total.toInt, kept, IndexStats(total.toInt, chunks.size, postings, kept.size,
                                            low, high, keptPostings, longest))
+  }
+
+  private def ascending(ids: Array[Int]): Boolean = {
+    var i = 1
+    while (i < ids.length && ids(i - 1) <= ids(i)) i += 1
+    i >= ids.length
   }
 
   /** Assemble navigation maps from given entries (used by tests to build

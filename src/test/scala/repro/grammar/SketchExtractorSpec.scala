@@ -119,6 +119,36 @@ class SketchExtractorSpec extends AnyFunSuite {
     assert(pats.length === pats.distinct.length)
   }
 
+  test("keyed enumeration decodes to the reference string sketches on all 5 datasets") {
+    val configs = Seq(SketchConfig(), SketchConfig(includeTree = false), SketchConfig(maxPhraseLen = 2))
+    for (spec <- Datasets.all; id <- 0L until 2000L) {
+      val p = Pipeline.parse(spec.sentence(id)._1)
+      for (cfg <- configs)
+        assert(SketchExtractor.patterns(p, cfg).toSet === ReferenceSketches.patterns(p, cfg).toSet,
+          s"${spec.name} sentence $id under $cfg")
+    }
+  }
+
+  test("one dictionary shared by many sentences decodes each sentence's keys exactly") {
+    val dict = new SketchExtractor.Dictionary
+    for (p <- sentences(40)) {
+      val keys = new scala.collection.mutable.ArrayBuilder.ofLong
+      SketchExtractor.keys(p, SketchConfig(), dict)(k => keys.addOne(k))
+      assert(keys.result().map(SketchExtractor.decode(_, dict)).toSet ===
+        ReferenceSketches.patterns(p).toSet)
+    }
+  }
+
+  test("dictionary overflow fails instead of colliding") {
+    val p = Pipeline.parse("the storm caused damage")
+    val e = intercept[IllegalArgumentException] {
+      SketchExtractor.keys(p, SketchConfig(), new SketchExtractor.Dictionary(3))(_ => ())
+    }
+    assert(e.getMessage.contains("sketch dictionary overflow"))
+    // a dictionary with room for every id enumerates the same sentence
+    SketchExtractor.keys(p, SketchConfig(), new SketchExtractor.Dictionary(1000))(_ => ())
+  }
+
   test("pattern volume per sentence is bounded") {
     for (s <- sentences(50)) {
       val c = SketchExtractor.patterns(s).length

@@ -4,7 +4,7 @@ import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestCorpora}
 import repro.data.{CorpusGen, CorpusRow, Datasets, DatasetSpec}
-import repro.grammar.{Heuristic, SketchConfig, SketchExtractor}
+import repro.grammar.{Heuristic, ReferenceSketches, SketchConfig, SketchExtractor}
 import repro.text.Pipeline
 
 class HeuristicIndexSpec extends SparkSpec {
@@ -22,14 +22,16 @@ class HeuristicIndexSpec extends SparkSpec {
   /** The entries as the index used to be built, kept here as a reference:
     * explode every sentence's sketches into (pattern, sid) rows, then one
     * Spark SQL ``groupBy`` for the counts and the ``collect_list`` of ids,
-    * with the build's default bounds.
+    * with the build's default bounds. The sketches are the string-built
+    * [[ReferenceSketches]], so the reference shares no code with the keyed
+    * scan.
     */
   private def referenceEntries(spec: DatasetSpec, n: Long): Map[String, Vector[Int]] = {
     import spark.implicits._
     val minC = HeuristicIndex.defaultMinCover(n)
     val maxC = math.max(minC.toLong, (0.2 * n).toLong)
     CorpusGen.corpus(spark, spec, Some(n))
-      .map(r => (r.id.toInt, SketchExtractor.patterns(Pipeline.parse(r.text))))
+      .map(r => (r.id.toInt, ReferenceSketches.patterns(Pipeline.parse(r.text))))
       .toDF("sid", "patterns")
       .select(explode($"patterns") as "pattern", $"sid")
       .groupBy($"pattern")
@@ -46,6 +48,15 @@ class HeuristicIndexSpec extends SparkSpec {
     assert(idsByPattern(index) === referenceEntries(Datasets.tweets, nSmall))
     assert(idsByPattern(TestCorpora.professionsSmall(spark).index) ===
       referenceEntries(Datasets.professions, 4000L))
+  }
+
+  test("build matches the explode/groupBy/collect_list reference (directions, musicians, cause-effect)") {
+    assert(idsByPattern(TestCorpora.directionsSmall(spark).index) ===
+      referenceEntries(Datasets.directions, 2000L))
+    assert(idsByPattern(TestCorpora.musiciansSmall(spark).index) ===
+      referenceEntries(Datasets.musicians, 2000L))
+    assert(idsByPattern(TestCorpora.causeEffectSmall(spark).index) ===
+      referenceEntries(Datasets.causeEffect, 1500L))
   }
 
   test("the build does not depend on how the corpus is partitioned") {

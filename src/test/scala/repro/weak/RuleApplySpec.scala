@@ -45,15 +45,29 @@ class RuleApplySpec extends SparkSpec {
       "corpus" -> corpus)
   }
 
-  test("weak labels over tree rules match driver-side matching") {
-    val prep = TestCorpora.professionsSmall(spark)
-    val rule = "T:C2(t=is,p=NOUN,t=job)"
-    if (prep.index.contains(rule)) {
-      val corpus = CorpusGen.corpus(spark, Datasets.professions, Some(4000L))
-      val got = RuleApply.weakLabels(spark, corpus, Seq(rule))
-        .filter(col("weakLabel") === 1)
-        .select("id").collect().map(_.getLong(0).toInt).sorted
-      assert(got.toSeq === prep.index.ids(rule).toSeq)
-    } else cancel(s"$rule not in small professions index")
+  test("weak labels of indexed rules of every kind equal their index postings") {
+    import repro.grammar.Heuristic
+    val small = Seq(
+      (Datasets.tweets, 800L, TestCorpora.tweetsSmall(spark)),
+      (Datasets.directions, 2000L, TestCorpora.directionsSmall(spark)),
+      (Datasets.musicians, 2000L, TestCorpora.musiciansSmall(spark)),
+      (Datasets.causeEffect, 1500L, TestCorpora.causeEffectSmall(spark)),
+      (Datasets.professions, 4000L, TestCorpora.professionsSmall(spark)),
+    )
+    val allKinds = Set("Phrase", "TermPat", "ChildPat", "DescPat", "AndPat", "Child2Pat")
+    for ((spec, n, prep) <- small) {
+      // per kind, the indexed rule with the largest coverage (ties by repr)
+      val byKind = prep.index.entries.values.toSeq
+        .groupBy(e => Heuristic.parse(e.pattern).getClass.getSimpleName)
+      assert(byKind.keySet === allKinds, spec.name)
+      val rules = byKind.values.map(_.minBy(e => (-e.count, e.pattern)).pattern).toSeq.sorted
+      val votes = RuleApply.weakLabels(spark, CorpusGen.corpus(spark, spec, Some(n)), rules)
+        .select("id", "votes").collect()
+        .map(r => r.getLong(0).toInt -> r.getAs[scala.collection.Seq[Int]]("votes"))
+      for ((rule, i) <- rules.zipWithIndex) {
+        val got = votes.collect { case (id, v) if v.contains(i) => id }.sorted
+        assert(got.toSeq === prep.index.ids(rule).toSeq, s"${spec.name}: $rule")
+      }
+    }
   }
 }
