@@ -7,8 +7,8 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The session is the jobs' own, [[repro.eval.Experiments.session]].
+  * SPARK_DRIVER_MEM, or else half of the machine's memory clamped to
+  * 2–8 GB. The session is the jobs' own, [[repro.eval.Experiments.session]].
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
