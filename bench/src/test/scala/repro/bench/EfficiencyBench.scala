@@ -6,9 +6,9 @@ import repro.eval.Experiments
 /** §4.5 efficiency reproduction: the full distributed dataflow over the
   * 1M-sentence professions corpus — generation, parsing, sketch
   * extraction, index aggregation (Spark), the Darwin(HS) loop (driver),
-  * and distributed rule application producing weak labels. The corpus is
-  * prepared afresh, not taken from the suites' shared cache, so the
-  * prepare phase is timed whatever ran before.
+  * the weak labels read from the index, and the final classifier. The
+  * corpus is prepared afresh, not taken from the suites' shared cache, so
+  * the prepare phase is timed whatever ran before.
   *
   * Paper reference points: index construction < 5 min; end-to-end label
   * generation for a 1M corpus < 3 h (65 min with their score-caching

@@ -43,6 +43,15 @@ object Classifier {
 
   /** Train on explicit positive/negative index sets (full-batch GD with a
     * class-balance weight on positives).
+    *
+    * The m training rows, positives first, are gathered once into one
+    * row-major `Double` buffer. An epoch takes the rows four at a time: it
+    * computes their four logits as independent chains from the epoch's
+    * fixed (w, b), then adds their four gradient terms to each coordinate
+    * in row order. Every logit is summed from b in coordinate order and
+    * every gradient coordinate over the rows in the order of a
+    * row-at-a-time loop, so the model is bit-identical to that loop's
+    * (DESIGN.md, "Classifier kernel").
     */
   def train(features: Array[Array[Float]], posIdx: Array[Int], negIdx: Array[Int],
             cfg: Config = Config()): Model = {
@@ -52,26 +61,57 @@ object Classifier {
     if (posIdx.isEmpty || negIdx.isEmpty) return Model(w, b)
     val posW = cfg.posWeight.getOrElse(negIdx.length.toDouble / posIdx.length.toDouble)
     val m    = posIdx.length + negIdx.length
+    val x      = new Array[Double](m * dim)
+    val y      = new Array[Double](m)
+    val weight = new Array[Double](m)
+    var k = 0
+    while (k < m) {
+      val isPos = k < posIdx.length
+      val f     = features(if (isPos) posIdx(k) else negIdx(k - posIdx.length))
+      var i = 0
+      while (i < dim) { x(k * dim + i) = f(i); i += 1 }
+      y(k)      = if (isPos) 1.0 else 0.0
+      weight(k) = if (isPos) posW else cfg.negWeight
+      k += 1
+    }
+    val gw = new Array[Double](dim)
+    def errOf(k: Int, z: Double): Double =
+      weight(k) * (1.0 / (1.0 + math.exp(-z)) - y(k))
     var e = 0
     while (e < cfg.epochs) {
-      val gw = new Array[Double](dim)
+      java.util.Arrays.fill(gw, 0.0)
       var gb = 0.0
-      def accumulate(idx: Array[Int], y: Double, weight: Double): Unit = {
-        var k = 0
-        while (k < idx.length) {
-          val f = features(idx(k))
-          var z = b; var i = 0
-          while (i < dim) { z += w(i) * f(i); i += 1 }
-          val p   = 1.0 / (1.0 + math.exp(-z))
-          val err = weight * (p - y)
-          i = 0
-          while (i < dim) { gw(i) += err * f(i); i += 1 }
-          gb += err
-          k += 1
+      k = 0
+      while (k + 4 <= m) {
+        val o0 = k * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
+        var z0 = b; var z1 = b; var z2 = b; var z3 = b
+        var i = 0
+        while (i < dim) {
+          val wi = w(i)
+          z0 += wi * x(o0 + i); z1 += wi * x(o1 + i)
+          z2 += wi * x(o2 + i); z3 += wi * x(o3 + i)
+          i += 1
         }
+        val e0 = errOf(k, z0); val e1 = errOf(k + 1, z1)
+        val e2 = errOf(k + 2, z2); val e3 = errOf(k + 3, z3)
+        i = 0
+        while (i < dim) {
+          gw(i) = gw(i) + e0 * x(o0 + i) + e1 * x(o1 + i) + e2 * x(o2 + i) + e3 * x(o3 + i)
+          i += 1
+        }
+        gb = gb + e0 + e1 + e2 + e3
+        k += 4
       }
-      accumulate(posIdx, 1.0, posW)
-      accumulate(negIdx, 0.0, cfg.negWeight)
+      while (k < m) {
+        val o = k * dim
+        var z = b; var i = 0
+        while (i < dim) { z += w(i) * x(o + i); i += 1 }
+        val ek = errOf(k, z)
+        i = 0
+        while (i < dim) { gw(i) += ek * x(o + i); i += 1 }
+        gb += ek
+        k += 1
+      }
       val scale = cfg.lr / m
       var i = 0
       while (i < dim) { w(i) -= scale * gw(i) + cfg.lr * cfg.l2 * w(i); i += 1 }
@@ -88,16 +128,25 @@ object Classifier {
                        n: Int, seed: Long, cfg: Config = Config()): Model = {
     val posIdx = bitsetIndices(pos)
     if (posIdx.isEmpty) return Model(new Array[Double](dimOf(features)), 0.0)
+    train(features, posIdx, sampleNegatives(pos, posIdx.length, n, seed, cfg), cfg)
+  }
+
+  /** ``negRatio·|P|`` (at least 8, at most n − |P|) distinct random ids
+    * outside P, ascending; the draw gives up after 50 tries per wanted id.
+    */
+  private[core] def sampleNegatives(pos: java.util.BitSet, nPos: Int, n: Int, seed: Long,
+                                    cfg: Config): Array[Int] = {
     val rng    = new SplitMix(seed)
-    val want   = math.min(n - posIdx.length, math.max(8, cfg.negRatio * posIdx.length))
+    val want   = math.min(n - nPos, math.max(8, cfg.negRatio * nPos))
     val negSet = new java.util.BitSet(n)
+    var got    = 0
     var tries  = 0
-    while (negSet.cardinality() < want && tries < 50 * want) {
+    while (got < want && tries < 50 * want) {
       val c = rng.nextInt(n)
-      if (!pos.get(c)) negSet.set(c)
+      if (!pos.get(c) && !negSet.get(c)) { negSet.set(c); got += 1 }
       tries += 1
     }
-    train(features, posIdx, bitsetIndices(negSet), cfg)
+    bitsetIndices(negSet)
   }
 
   def scoreAll(features: Array[Array[Float]], model: Model): Array[Double] = {

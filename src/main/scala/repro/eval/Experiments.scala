@@ -1,11 +1,10 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions.col
 import repro.baselines.{ActiveLearning, KeywordSampling, Snuba}
 import repro.core._
 import repro.data.{CorpusGen, DatasetSpec, Datasets, SplitMix}
-import repro.weak.{LabelModel, RuleApply}
+import repro.weak.LabelModel
 
 /** The paper's evaluation: one function per table/figure ([[table1]],
   * [[table2]], [[snuba]], [[coverage]], [[quality]], [[efficiency]]), each
@@ -270,32 +269,38 @@ object Experiments {
 
   // ---------------------------------------------------------------- §4.5
 
-  final case class EfficiencyRun(prepareS: Double, loopS: Double, applyS: Double,
+  final case class EfficiencyRun(prepareS: Double, loopS: Double, labelS: Double,
                                  trainS: Double, recall: Double, weakPositives: Long,
-                                 f1: Double) {
-    def totalS: Double = prepareS + loopS + applyS + trainS
+                                 f1: Double, rules: Vector[String]) {
+    def totalS: Double = prepareS + loopS + labelS + trainS
   }
 
   /** §4.5: label collection end to end over professions (1M sentences at
     * full scale). Each phase is timed: a fresh `PreparedCorpus.prepare`
     * (generation, parsing, sketches, index, features), the Darwin(HS) loop
-    * at budget 100, distributed rule application, and the final classifier.
+    * at budget 100, the weak labels, and the final classifier. Discovered
+    * rules are indexed and the index holds every sentence a rule matches,
+    * so the weak-labeled positives are ∪ C_r read from the index's
+    * postings; `RuleApply` gives the same count by matching the corpus text.
     */
   def efficiency(c: Corpora): Result[EfficiencyRun] = {
     val spec = Datasets.professions
     val n    = c.sizeOf(spec)
     val (prep, tPrep) = timed(PreparedCorpus.prepare(c.spark, spec, Some(n)))
     val (res, tLoop)  = timed(runDarwin(prep, spec.seedRule, budget = 100, Strategy.HybridSearch()))
-    val (nWeak, tApply) = timed(
-      RuleApply.weakLabels(c.spark, CorpusGen.corpus(c.spark, spec, Some(n)), res.rules)
-        .filter(col("weakLabel") === 1).count())
+    val (nWeak, tLabel) = timed {
+      val weak = new java.util.BitSet(prep.n)
+      res.rules.foreach(r => prep.index.ids(r).foreach(weak.set))
+      weak.cardinality().toLong
+    }
     val (f1, tTrain) = timed(Metrics.classifierF1(prep, res.positives).f1)
-    val run = EfficiencyRun(tPrep, tLoop, tApply, tTrain, prep.recall(res.positives), nWeak, f1)
+    val run = EfficiencyRun(tPrep, tLoop, tLabel, tTrain, prep.recall(res.positives), nWeak, f1,
+                            res.rules)
     Result(Vector(run), section(s"Sec. 4.5 efficiency (professions, n=$n)", renderTable(
       Seq("phase", "s"),
       Seq(Seq("prepare (generate+parse+index+features)", f"$tPrep%.1f"),
           Seq("Darwin(HS) loop, budget 100", f"$tLoop%.1f"),
-          Seq("distributed weak-label application", f"$tApply%.1f"),
+          Seq("weak labels from the index postings", f"$tLabel%.1f"),
           Seq("final classifier + corpus scoring", f"$tTrain%.1f"),
           Seq("total", f"${run.totalS}%.1f")))) +
       s"\nindex ${prep.index.stats.summary}" +

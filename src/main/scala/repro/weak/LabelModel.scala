@@ -32,8 +32,17 @@ object LabelModel {
     val m = coverages.length
     require(m > 0, "need at least one labeling function")
 
-    val covered = Array.fill(n)(List.empty[Int])
-    for (j <- 0 until m; s <- coverages(j)) covered(s) ::= j
+    // The rules firing on each sentence in CSR form: sentence s's rules are
+    // rules(start(s) until start(s + 1)), in descending rule index. Filling
+    // each sentence's slots from its end while j ascends gives that order,
+    // and `start` ends up holding the slice starts.
+    val start = new Array[Int](n + 1)
+    for (ids <- coverages; id <- ids) start(id) += 1
+    var s = 0; var total = 0
+    while (s < n) { total += start(s); start(s) = total; s += 1 }
+    start(n) = total
+    val rules = new Array[Int](total)
+    for (j <- 0 until m; id <- coverages(j)) { start(id) -= 1; rules(start(id)) = j }
 
     val a = Array.fill(m)(0.7) // accuracy when firing
     val q = new Array[Double](n)
@@ -45,16 +54,16 @@ object LabelModel {
     var it = 0
     while (it < iters) {
       // E-step over covered sentences only (abstains carry no evidence)
-      var s = 0
+      s = 0
       while (s < n) {
-        var cs = covered(s)
-        if (cs.isEmpty) q(s) = 0.0
-        else {
+        val end = start(s + 1)
+        var k   = start(s)
+        if (k < end) {
           var logit = logPrior
-          while (cs.nonEmpty) {
-            val j = cs.head
+          while (k < end) {
+            val j = rules(k)
             logit += math.log(clamp(a(j))) - math.log(clamp(1 - a(j)))
-            cs = cs.tail
+            k += 1
           }
           q(s) = 1.0 / (1.0 + math.exp(-logit))
         }

@@ -1,8 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.SplitMix
-import repro.text.Embeddings
+import repro.data.{Datasets, SplitMix}
+import repro.eval.Metrics
+import repro.text.{Embeddings, Pipeline}
 
 class ClassifierSpec extends AnyFunSuite {
 
@@ -102,5 +103,75 @@ class ClassifierSpec extends AnyFunSuite {
     val test = vec("anyone want to grab tacos tonight")
     val ctrl = vec("reading about mortgages all morning")
     assert(m.score(test) > m.score(ctrl))
+  }
+
+  private def bits(m: Model): (Seq[Long], Long) =
+    (m.w.toSeq.map(java.lang.Double.doubleToRawLongBits),
+     java.lang.Double.doubleToRawLongBits(m.b))
+
+  /** The four configurations of the kernel test: the in-loop and the final
+    * classifier, each with a balancing and with a fixed positive weight.
+    */
+  private val configs = Seq(
+    Classifier.Config(),
+    Classifier.Config(posWeight = Some(2.0)),
+    Metrics.FinalClassifier,
+    Metrics.FinalClassifier.copy(posWeight = None))
+
+  /** 48-dimensional features of professions sentences, as the index job
+    * computes them.
+    */
+  private lazy val professionsFeatures: Array[Array[Float]] =
+    Array.tabulate(40) { id =>
+      val p = Pipeline.parse(Datasets.professions.sentence(id.toLong)._1)
+      Embeddings.features(p.tokens, p.pos)
+    }
+
+  test("train is bit-identical to the row-at-a-time reference") {
+    val (small, _) = clusters(12, 8)
+    for ((feats, dim) <- Seq(small -> 4, professionsFeatures -> 48)) {
+      assert(Classifier.dimOf(feats) === dim)
+      val order = new scala.util.Random(dim).shuffle((0 until feats.length).toVector).toArray
+      for (cfg <- configs; m <- 1 to 9; nPos <- 0 to m) {
+        val pos = order.take(nPos)
+        val neg = order.slice(nPos, m)
+        val got = Classifier.train(feats, pos, neg, cfg)
+        assert(bits(got) === bits(ReferenceClassifier.train(feats, pos, neg, cfg)),
+               s"dim=$dim m=$m nPos=$nPos cfg=$cfg")
+        if (pos.isEmpty || neg.isEmpty)
+          assert(got.w.length === dim && got.w.forall(_ == 0.0) && got.b === 0.0)
+      }
+      // a row listed twice, and a training set larger than the feature rows
+      val pos = Array(order(0), order(1), order(0))
+      val neg = order.drop(2) ++ order.drop(5)
+      for (cfg <- configs)
+        assert(bits(Classifier.train(feats, pos, neg, cfg)) ===
+               bits(ReferenceClassifier.train(feats, pos, neg, cfg)))
+    }
+  }
+
+  test("negative sampling draws the reference loop's ids, also when tries run out") {
+    val n = 1000
+    val rng = new SplitMix(3)
+    val sparse = new java.util.BitSet(n)
+    (0 until 40).foreach(_ => sparse.set(rng.nextInt(n)))
+    // 990 of 1,000 ids are positive: 500 tries find only about 5 of the 10
+    val dense = new java.util.BitSet(n)
+    dense.set(0, 990)
+    for (pos <- Seq(sparse, dense); cfg <- configs; seed <- 1L to 5L) {
+      val want = math.min(n - pos.cardinality(), math.max(8, cfg.negRatio * pos.cardinality()))
+      val ref  = ReferenceClassifier.sampleNegatives(pos, n, seed, cfg)
+      val got  = Classifier.sampleNegatives(pos, pos.cardinality(), n, seed, cfg)
+      assert(got.toSeq === ref.toSeq)
+      assert(got.forall(i => !pos.get(i)))
+      if (pos eq dense) assert(got.length < want, s"cap not reached: ${got.length} of $want")
+      else assert(got.length === want)
+    }
+    val (f, _) = clusters(n, 9)
+    for (cfg <- configs) {
+      val neg = ReferenceClassifier.sampleNegatives(sparse, n, 7, cfg)
+      assert(bits(Classifier.trainOnPositives(f, sparse, n, 7, cfg)) ===
+             bits(ReferenceClassifier.train(f, Classifier.bitsetIndices(sparse), neg, cfg)))
+    }
   }
 }

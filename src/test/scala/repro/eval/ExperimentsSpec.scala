@@ -1,9 +1,11 @@
 package repro.eval
 
+import org.apache.spark.sql.functions.col
 import repro.{SparkSpec, TestCorpora}
 import repro.core.Strategy
-import repro.data.Datasets
+import repro.data.{CorpusGen, Datasets}
 import repro.jobs.Paper
+import repro.weak.RuleApply
 
 class ExperimentsSpec extends SparkSpec {
 
@@ -87,6 +89,16 @@ class ExperimentsSpec extends SparkSpec {
       assert(result.rows.nonEmpty, name)
       assert(result.table.linesIterator.count(_.startsWith("|")) > 2, s"$name:\n${result.table}")
     }
+  }
+
+  test("§4.5 weak positives from the index equal RuleApply's count at scale 0.05") {
+    val c   = new Experiments.Corpora(spark, 0.05)
+    val run = Experiments.efficiency(c).rows.head
+    assert(run.rules.length > 1, run.rules)
+    val spec    = Datasets.professions
+    val applied = RuleApply.weakLabels(spark, CorpusGen.corpus(spark, spec, Some(c.sizeOf(spec))),
+                                       run.rules).filter(col("weakLabel") === 1).count()
+    assert(run.weakPositives === applied)
   }
 
   test("repro.jobs.Paper rejects an unknown experiment and a bad --scale") {
