@@ -1,5 +1,7 @@
 package repro.jobs
 
+import java.io.{FileDescriptor, FileOutputStream, OutputStream, PrintStream}
+import java.nio.charset.StandardCharsets
 import scala.collection.immutable.ListMap
 import repro.eval.Experiments
 import repro.eval.Experiments.Corpora
@@ -44,11 +46,18 @@ object Paper {
     (name, s)
   }
 
+  /** A UTF-8 print stream over ``out``. A JVM whose default charset is
+    * ASCII, as sbt's forked one is under a POSIX locale, would print any
+    * non-ASCII table text as '?'.
+    */
+  def utf8(out: OutputStream): PrintStream = new PrintStream(out, true, StandardCharsets.UTF_8)
+
   def main(args: Array[String]): Unit = {
     val (name, s) = try parse(args.toSeq) catch {
       case e: IllegalArgumentException => Console.err.println(e.getMessage); sys.exit(2)
     }
     val spark = Experiments.session(s"paper-$name")
-    try println(experiments(name)(new Corpora(spark, s)).table) finally spark.stop()
+    val out   = utf8(new FileOutputStream(FileDescriptor.out))
+    try out.println(experiments(name)(new Corpora(spark, s)).table) finally spark.stop()
   }
 }

@@ -58,7 +58,8 @@ object PreparedCorpus {
               cfg: SketchConfig = SketchConfig(),
               minCover: Option[Int] = None,
               maxCoverFrac: Double = 0.2): PreparedCorpus = {
-    val parts = HeuristicIndex.scan(CorpusGen.corpus(spark, spec, nOverride), cfg) {
+    val rows  = CorpusGen.rows(spark, spec, nOverride.getOrElse(spec.n))
+    val parts = HeuristicIndex.scan(rows, cfg) {
       (row, parsed) => (row.id.toInt, row.label, Embeddings.features(parsed.tokens, parsed.pos))
     }
     val index = HeuristicIndex.merge(parts, minCover, maxCoverFrac)

@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 /** One generated sentence with its hidden ground-truth label (used only by
@@ -179,19 +180,34 @@ object Datasets {
       throw new IllegalArgumentException(s"unknown dataset: $name"))
 }
 
-/** Distributed corpus generation: ``spark.range(n)`` mapped through the
+/** Distributed corpus generation: a range of ids mapped through the
   * deterministic template renderer — the same (id -> sentence) function on
   * every executor, so regeneration is free and reproducible.
   */
 object CorpusGen {
+
+  /** The corpus as a typed Dataset, for consumers that run Spark SQL on it
+    * (rule application, label stats, the DuckDB cross-checks).
+    */
   def corpus(spark: SparkSession, spec: DatasetSpec,
              nOverride: Option[Long] = None): Dataset[CorpusRow] = {
     import spark.implicits._
     val n = nOverride.getOrElse(spec.n)
-    spark.range(n).map { id =>
-      val (text, label) = spec.sentence(id)
-      CorpusRow(id, text, label)
-    }
+    spark.range(n).map(id => row(spec, id))
+  }
+
+  /** The same rows as [[corpus]], as a plain RDD over ``sc.range``: a scan
+    * that only needs ``mapPartitions`` plans no SQL query and never builds
+    * the session's SQL state.
+    */
+  def rows(spark: SparkSession, spec: DatasetSpec, n: Long): RDD[CorpusRow] = {
+    val sc = spark.sparkContext
+    sc.range(0, n, 1, sc.defaultParallelism).map(row(spec, _))
+  }
+
+  private def row(spec: DatasetSpec, id: Long): CorpusRow = {
+    val (text, label) = spec.sentence(id)
+    CorpusRow(id, text, label)
   }
 
   /** Ground-truth label stats (used by the Table 1 job/bench). */

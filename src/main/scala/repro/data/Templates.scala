@@ -23,22 +23,34 @@ final class SplitMix(seed0: Long) extends Serializable {
 /** A sentence template with ``{slot}`` placeholders drawing from the named
   * word lists in [[repro.text.Vocab]]. A trailing digit on a slot name
   * (``{place2}``) draws an independent sample from the same list.
+  *
+  * The text is split once, at construction, into the literal segments
+  * around its slots, so rendering a sentence runs no regex.
   */
 final case class Tmpl(text: String, weight: Double = 1.0) {
-  private val SlotRe = "\\{([a-z]+)\\d?\\}".r
-
-  /** Render with slot words drawn from ``rng`` in left-to-right order. */
-  def render(rng: SplitMix): String =
-    SlotRe.replaceAllIn(text, m => {
-      val list = Tmpl.lists(m.group(1))
-      list(rng.nextInt(list.length))
-    })
 
   /** Slot list names referenced by this template (for validation). */
-  def slotNames: Seq[String] = SlotRe.findAllMatchIn(text).map(_.group(1)).toSeq
+  val slotNames: Seq[String] = Tmpl.SlotRe.findAllMatchIn(text).map(_.group(1)).toVector
+
+  private val literals = Tmpl.SlotRe.pattern.split(text, -1)
+  private val slots    = slotNames.map(Tmpl.lists).toArray
+
+  /** Render with slot words drawn from ``rng`` in left-to-right order. */
+  def render(rng: SplitMix): String = {
+    val sb = new java.lang.StringBuilder(literals(0))
+    var i = 0
+    while (i < slots.length) {
+      val list = slots(i)
+      sb.append(list(rng.nextInt(list.length))).append(literals(i + 1))
+      i += 1
+    }
+    sb.toString
+  }
 }
 
 object Tmpl {
+  private val SlotRe = "\\{([a-z]+)\\d?\\}".r
+
   /** Slot name -> word list. */
   val lists: Map[String, Vector[String]] = Map(
     "place"      -> Vocab.places,

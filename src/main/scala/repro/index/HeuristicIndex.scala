@@ -1,5 +1,6 @@
 package repro.index
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.data.CorpusRow
 import repro.grammar.{Heuristic, SketchConfig, SketchExtractor}
@@ -108,7 +109,7 @@ object HeuristicIndex {
             cfg: SketchConfig = SketchConfig(),
             minCover: Option[Int] = None,
             maxCoverFrac: Double = 0.2): HeuristicIndex =
-    merge(scan(corpus, cfg)((_, _) => ()), minCover, maxCoverFrac)
+    merge(scan(corpus.rdd, cfg)((_, _) => ()), minCover, maxCoverFrac)
 
   /** Parses every sentence of ``corpus`` once, in one Spark job, and
     * returns one [[IndexPart]] per partition: its posting lists, and
@@ -121,13 +122,17 @@ object HeuristicIndex {
     * already the posting's last. At the partition's end each distinct key
     * is decoded to its ``repr`` once.
     *
+    * [[repro.core.PreparedCorpus.prepare]] scans [[repro.data.CorpusGen.rows]],
+    * a plain RDD, so phase one never touches Spark SQL; [[build]] scans a
+    * Dataset's ``.rdd``.
+    *
     * The parts come back through an RDD ``collect``, not a shuffle: an RDD
     * shuffle of (String, Array[Int]) would make Spark pick Kryo, which
     * fails on JVMs started without ``--add-opens``.
     */
-  private[repro] def scan[A: ClassTag](corpus: Dataset[CorpusRow], cfg: SketchConfig)(
+  private[repro] def scan[A: ClassTag](corpus: RDD[CorpusRow], cfg: SketchConfig)(
       perRow: (CorpusRow, Parsed) => A): Array[IndexPart[A]] =
-    corpus.rdd.mapPartitions { rows =>
+    corpus.mapPartitions { rows =>
       val dict  = new SketchExtractor.Dictionary
       val lists = mutable.LongMap.empty[Posting]
       val side  = mutable.ArrayBuilder.make[A]

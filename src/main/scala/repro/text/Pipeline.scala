@@ -43,12 +43,23 @@ final case class Parsed(tokens: Array[String], pos: Array[String], heads: Array[
   */
 object Pipeline extends Serializable {
 
-  /** Lowercase, strip punctuation, split on whitespace. */
-  def tokenize(text: String): Array[String] =
-    text.toLowerCase
-      .map(c => if (c.isLetterOrDigit || c == '\'') c else ' ')
-      .split("\\s+")
-      .filter(_.nonEmpty)
+  /** Lowercase, then emit the runs of letters, digits and apostrophes;
+    * every other char (a UTF-16 unit, so each half of a surrogate pair)
+    * separates tokens.
+    */
+  def tokenize(text: String): Array[String] = {
+    val s    = text.toLowerCase
+    val out  = Array.newBuilder[String]
+    var from = -1
+    var i    = 0
+    while (i <= s.length) {
+      val inToken = i < s.length && { val c = s.charAt(i); c.isLetterOrDigit || c == '\'' }
+      if (inToken && from < 0) from = i
+      else if (!inToken && from >= 0) { out += s.substring(from, i); from = -1 }
+      i += 1
+    }
+    out.result()
+  }
 
   /** Lexicon lookup with suffix fallback. */
   def tag(tokens: Array[String]): Array[String] = tokens.map(Vocab.info(_).pos)

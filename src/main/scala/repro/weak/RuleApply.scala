@@ -21,8 +21,12 @@ object RuleApply {
     val parsedRules = rules.map(Heuristic.parse).toArray
     val bcast = spark.sparkContext.broadcast(parsedRules)
     val votesUdf = udf { (text: String) =>
-      val p = Pipeline.parse(text)
-      bcast.value.zipWithIndex.collect { case (h, i) if h.matches(p) => i }
+      val p     = Pipeline.parse(text)
+      val rs    = bcast.value
+      val votes = Array.newBuilder[Int]
+      var i     = 0
+      while (i < rs.length) { if (rs(i).matches(p)) votes += i; i += 1 }
+      votes.result()
     }
     corpus.toDF()
       .withColumn("votes", votesUdf(col("text")))

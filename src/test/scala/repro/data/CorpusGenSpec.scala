@@ -102,6 +102,40 @@ class CorpusGenSpec extends SparkSpec {
     assert(got.length === 300)
   }
 
+  /** ``DatasetSpec.sentence`` as it was before templates were pre-split:
+    * the same draws, with each template rendered by a regex ``replaceAllIn``.
+    */
+  private def regexSentence(spec: DatasetSpec, id: Long): (String, Int) = {
+    val slotRe = "\\{([a-z]+)\\d?\\}".r
+    def render(t: Tmpl, rng: SplitMix): String =
+      slotRe.replaceAllIn(t.text, m => {
+        val list = Tmpl.lists(m.group(1))
+        list(rng.nextInt(list.length))
+      })
+    def cum(ts: Vector[Tmpl]): Vector[Double] = {
+      val total = ts.map(_.weight).sum
+      ts.map(_.weight / total).scanLeft(0.0)(_ + _).tail
+    }
+    val rng   = new SplitMix(spec.name.hashCode.toLong * 0x100000001B3L + id)
+    val isPos = rng.nextDouble() < spec.posRate
+    val ts    = if (isPos) spec.pos else spec.neg
+    val u     = rng.nextDouble()
+    val k     = cum(ts).indexWhere(u <= _) match { case -1 => ts.length - 1; case i => i }
+    (render(ts(k), rng), if (isPos) 1 else 0)
+  }
+
+  test("pre-split rendering equals the regex renderer; rows equals corpus") {
+    for (spec <- Datasets.all; id <- 0L until 5000L)
+      assert(spec.sentence(id) === regexSentence(spec, id), s"${spec.name} $id")
+    for (spec <- Datasets.all) {
+      val n = math.min(spec.n, 3000L)
+      def triples(rows: Array[CorpusRow]) = rows.map(r => (r.id, r.text, r.label)).sortBy(_._1).toSeq
+      val viaRdd = triples(CorpusGen.rows(spark, spec, n).collect())
+      assert(viaRdd.length === n)
+      assert(viaRdd === triples(CorpusGen.corpus(spark, spec, Some(n)).collect()), spec.name)
+    }
+  }
+
   test("label stats aggregation matches DuckDB oracle") {
     val df = CorpusGen.corpus(spark, Datasets.musicians, Some(500L)).toDF()
     val agg = df.groupBy(col("label"))

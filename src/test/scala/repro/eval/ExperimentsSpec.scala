@@ -110,4 +110,11 @@ class ExperimentsSpec extends SparkSpec {
     assert(Paper.parse(Seq("quality")) === (("quality", 1.0)))
     assert(Paper.parse(Seq("quality", "--scale", "0.05")) === (("quality", 0.05)))
   }
+
+  test("repro.jobs.Paper prints UTF-8 whatever the default charset") {
+    val bytes = new java.io.ByteArrayOutputStream
+    Paper.utf8(bytes).print("§4.5 ∪ τ")
+    assert(bytes.toByteArray.toSeq.map(_ & 0xff) ===
+      Seq(0xc2, 0xa7, 0x34, 0x2e, 0x35, 0x20, 0xe2, 0x88, 0xaa, 0x20, 0xcf, 0x84))
+  }
 }

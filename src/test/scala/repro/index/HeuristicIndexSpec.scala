@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestCorpora}
 import repro.data.{CorpusGen, CorpusRow, Datasets, DatasetSpec}
 import repro.grammar.{Heuristic, ReferenceSketches, SketchConfig, SketchExtractor}
-import repro.text.Pipeline
+import repro.text.{Embeddings, Pipeline}
 
 class HeuristicIndexSpec extends SparkSpec {
 
@@ -68,10 +68,27 @@ class HeuristicIndexSpec extends SparkSpec {
     val shuffled = corpus.repartition(7)
     // the shuffle hands each partition its ids out of order, so only the
     // merge's sort keeps the lists identical
-    val parts = HeuristicIndex.scan(shuffled, SketchConfig())((_, _) => ())
+    val parts = HeuristicIndex.scan(shuffled.rdd, SketchConfig())((_, _) => ())
     assert(parts.length === 7)
     assert(parts.exists(_.postings.exists(ids => !ids.sameElements(ids.sorted))))
     assert(built(shuffled) === asGenerated)
+  }
+
+  test("prepare over the plain RDD equals build over the Dataset, with exact features and labels") {
+    for ((spec, n) <- Seq(Datasets.tweets -> nSmall, Datasets.professions -> 4000L)) {
+      val prepared = TestCorpora.prepared(spark, spec, n)
+      assert(idsByPattern(prepared.index) ===
+        idsByPattern(HeuristicIndex.build(spark, CorpusGen.corpus(spark, spec, Some(n)))), spec.name)
+      assert(prepared.n === n)
+      for (id <- 0 until n.toInt) {
+        val (text, label) = spec.sentence(id)
+        val parsed = Pipeline.parse(text)
+        val bits   = (_: Array[Float]).map(java.lang.Float.floatToRawIntBits).toSeq
+        assert(bits(prepared.features(id)) === bits(Embeddings.features(parsed.tokens, parsed.pos)),
+               s"${spec.name} $id")
+        assert(prepared.gt.get(id) === (label == 1), s"${spec.name} $id")
+      }
+    }
   }
 
   test("index stats: kept and pruned patterns add up to the emitted ones") {

@@ -30,6 +30,28 @@ class PipelineSpec extends AnyFunSuite {
     assert(Pipeline.tokenize("a,  b -- c").toSeq === Seq("a", "b", "c"))
   }
 
+  /** The tokenizer as it was: map each char, then a regex split. */
+  private def regexTokenize(text: String): Array[String] =
+    text.toLowerCase
+      .map(c => if (c.isLetterOrDigit || c == '\'') c else ' ')
+      .split("\\s+")
+      .filter(_.nonEmpty)
+
+  test("tokenize equals the map/split/filter tokenizer on the small corpora and edge strings") {
+    val small = Seq(Datasets.tweets -> 800L, Datasets.directions -> 2000L,
+                    Datasets.musicians -> 2000L, Datasets.causeEffect -> 1500L,
+                    Datasets.professions -> 4000L)
+    val texts = for ((spec, n) <- small; id <- 0L until n) yield spec.sentence(id)._1
+    val edges = Seq("", " ", "a", " lead", "trail ", "  both  ", "tab\there\nnew\r\nline",
+                    "?!...,;--", "a..b,,c", "don't", "'quoted'", "''", "rock 'n' roll",
+                    "route 66 at 9am", "123", "Café au LAIT", "İstanbul", "\u0130",
+                    "ẞ STRASSE", "smile \uD83D\uDE00 now", "\uD83D\uDE00\uD83D\uDE00",
+                    "x\u00A0y", "x\u2003y\u3000z", "\uD835\uDC00bc")
+    assert("İstanbul".toLowerCase.length > "İstanbul".length)
+    for (t <- texts ++ edges)
+      assert(Pipeline.tokenize(t).toSeq === regexTokenize(t).toSeq, s"'$t'")
+  }
+
   // ---------------------------------------------------------- tagger
 
   test("lexicon words get lexicon tags") {
