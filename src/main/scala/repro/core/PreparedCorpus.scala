@@ -1,14 +1,17 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
-import repro.data.{CorpusGen, DatasetSpec}
+import repro.data.{CorpusGen, CorpusRow, DatasetSpec}
 import repro.grammar.SketchConfig
 import repro.index.HeuristicIndex
 import repro.text.Embeddings
 
 /** Driver-side view of a prepared corpus: the pruned heuristic index, the
   * per-sentence embedding features, and the hidden ground truth (used only
-  * by oracle simulation and evaluation).
+  * by oracle simulation and evaluation). Sentences with the same text in
+  * one partition of the build share one feature array; every reader only
+  * reads it.
   *
   * All corpus-size-proportional work (generation, parsing, sketch
   * extraction, index aggregation, feature extraction) runs as Spark
@@ -50,27 +53,42 @@ final class PreparedCorpus(
 object PreparedCorpus {
 
   /** Generate, parse, feature-extract and index a dataset in one Spark
-    * pass: each sentence is parsed once, for both its sketches and its
-    * features.
+    * pass over [[CorpusGen.rows]]: each distinct text of a partition is
+    * parsed once, for both its sketches and its features.
     */
   def prepare(spark: SparkSession, spec: DatasetSpec,
               nOverride: Option[Long] = None,
               cfg: SketchConfig = SketchConfig(),
               minCover: Option[Int] = None,
-              maxCoverFrac: Double = 0.2): PreparedCorpus = {
-    val rows  = CorpusGen.rows(spark, spec, nOverride.getOrElse(spec.n))
-    val parts = HeuristicIndex.scan(rows, cfg) {
-      (row, parsed) => (row.id.toInt, row.label, Embeddings.features(parsed.tokens, parsed.pos))
-    }
+              maxCoverFrac: Double = 0.2): PreparedCorpus =
+    ofRows(spec.name, CorpusGen.rows(spark, spec, nOverride.getOrElse(spec.n)),
+           cfg, minCover, maxCoverFrac)
+
+  /** [[prepare]] over given rows, whose ids must be ``0 until rows.count``
+    * in any order and partitioning. One [[HeuristicIndex.scan]] parses each
+    * distinct text of a partition once and computes its features once;
+    * every row of that text in that partition gets the same read-only
+    * feature array.
+    */
+  private[repro] def ofRows(name: String, rows: RDD[CorpusRow],
+                            cfg: SketchConfig = SketchConfig(),
+                            minCover: Option[Int] = None,
+                            maxCoverFrac: Double = 0.2): PreparedCorpus = {
+    val parts = HeuristicIndex.scan(rows, cfg)(p => Embeddings.features(p.tokens, p.pos))
     val index = HeuristicIndex.merge(parts, minCover, maxCoverFrac)
     val n     = index.n
 
     val features = new Array[Array[Float]](n)
     val gt       = new java.util.BitSet(n)
-    for (part <- parts; (id, label, vec) <- part.perRow) {
-      features(id) = vec
-      if (label == 1) gt.set(id)
+    for (part <- parts) {
+      var r = 0
+      while (r < part.rows) {
+        val id = part.ids(r)
+        features(id) = part.values(part.classes(r))
+        if (part.labels(r) == 1) gt.set(id)
+        r += 1
+      }
     }
-    new PreparedCorpus(spec.name, n, index, features, gt)
+    new PreparedCorpus(name, n, index, features, gt)
   }
 }

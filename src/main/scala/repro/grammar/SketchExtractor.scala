@@ -7,8 +7,8 @@ import scala.collection.mutable
   *
   * For a parsed sentence, enumerates every heuristic *in the indexed
   * family* that the sentence satisfies. Each Spark partition of the index
-  * build adds its sentences' patterns to its own posting map, and the
-  * driver merges the partition maps once — the paper's "build per-part
+  * build sketches each of its distinct texts once, and the driver merges
+  * the partitions' sentence classes once — the paper's "build per-part
   * sketches, then merge" parallel index construction (see
   * [[repro.index.HeuristicIndex]]).
   *

@@ -14,23 +14,37 @@ import scala.reflect.ClassTag
   */
 final case class IndexEntry(pattern: String, count: Int, ids: Array[Int])
 
-/** One corpus partition's share of the index build: each pattern its
-  * sentences emitted with their ids (in arrival order, so not necessarily
-  * sorted), and one caller-chosen value per row.
+/** One corpus partition's share of the index build, factored by sentence
+  * class: the partition's rows with the same text form one class, parsed
+  * and sketched once. Class ``c``'s distinct patterns are
+  * ``patterns(slots(k))`` for ``k`` in ``[classStart(c), classStart(c+1))``,
+  * and ``values(c)`` is the caller's value for its text. Row ``r``, in
+  * arrival order, is sentence ``ids(r)`` of class ``classes(r)``, labelled
+  * ``labels(r)``.
   */
-private[repro] final case class IndexPart[A](patterns: Array[String],
-                                              postings: Array[Array[Int]], perRow: Array[A]) {
-  def rows: Int = perRow.length
+private[repro] final case class IndexPart[A](
+    patterns: Array[String],
+    classStart: Array[Int],
+    slots: Array[Int],
+    values: Array[A],
+    ids: Array[Int],
+    classes: Array[Int],
+    labels: Array[Int],
+) {
+  def rows: Int  = ids.length
+  def texts: Int = values.length
 }
 
-/** What an index build emitted, kept and pruned: ``patternsKept +
-  * prunedLow + prunedHigh == patternsEmitted``, and ``postingsKept`` is the
-  * sum of the kept counts. An index assembled by
-  * [[HeuristicIndex.fromEntries]] saw no emitted patterns, so its emitted
-  * and pruned counts are zero.
+/** What an index build parsed, emitted, kept and pruned: ``textsParsed``
+  * is the number of distinct texts summed over the partitions (each is
+  * parsed once), ``patternsKept + prunedLow + prunedHigh ==
+  * patternsEmitted``, and ``postingsKept`` is the sum of the kept counts.
+  * An index assembled by [[HeuristicIndex.fromEntries]] parsed nothing and
+  * saw no emitted patterns, so those counts are zero.
   */
 final case class IndexStats(
     rows: Int,
+    textsParsed: Int,
     patternsEmitted: Int,
     postingsEmitted: Long,
     patternsKept: Int,
@@ -40,7 +54,7 @@ final case class IndexStats(
     longestList: Int,
 ) {
   def summary: String =
-    s"rows=$rows emitted=$patternsEmitted patterns/$postingsEmitted postings " +
+    s"rows=$rows parsed=$textsParsed emitted=$patternsEmitted patterns/$postingsEmitted postings " +
     s"kept=$patternsKept prunedLow=$prunedLow prunedHigh=$prunedHigh " +
     s"keptPostings=$postingsKept longestList=$longestList"
 }
@@ -52,9 +66,11 @@ final case class IndexStats(
   *
   * Built by [[HeuristicIndex.build]] the way the paper describes: "index
   * structures for different parts of the corpus are created independently
-  * and then merged". Each Spark partition builds its own pattern → ids
-  * posting map from its sentences' derivation sketches, and the driver
-  * merges the partition maps once.
+  * and then merged". Each Spark partition parses and sketches each of its
+  * distinct texts once and ships its sentence classes (each distinct
+  * text's patterns, and which class each row is); the driver merges the
+  * partitions' pattern counts once and expands only the kept patterns into
+  * inverted lists.
   */
 final class HeuristicIndex(
     val n: Int,
@@ -109,18 +125,24 @@ object HeuristicIndex {
             cfg: SketchConfig = SketchConfig(),
             minCover: Option[Int] = None,
             maxCoverFrac: Double = 0.2): HeuristicIndex =
-    merge(scan(corpus.rdd, cfg)((_, _) => ()), minCover, maxCoverFrac)
+    merge(scan(corpus.rdd, cfg)(_ => ()), minCover, maxCoverFrac)
 
-  /** Parses every sentence of ``corpus`` once, in one Spark job, and
-    * returns one [[IndexPart]] per partition: its posting lists, and
-    * ``perRow`` of each row and its parse (the caller's side output).
+  /** Parses each distinct text of each partition of ``corpus`` once, in
+    * one Spark job, and returns one [[IndexPart]] per partition: its
+    * sentence classes with their patterns and their ``perText`` value (the
+    * caller's side output), and each row's id, class and label.
     *
-    * The scan builds no pattern strings per sentence. Each partition keeps
-    * one [[SketchExtractor.Dictionary]] and a ``LongMap`` from packed
-    * sketch key ([[SketchExtractor.keys]]) to a growable int posting; a
-    * sentence that emits a key twice is added once, because its id is
-    * already the posting's last. At the partition's end each distinct key
-    * is decoded to its ``repr`` once.
+    * The corpora repeat sentences heavily (professions: about 1,000
+    * distinct texts in 30K rows), so a partition keeps a ``HashMap`` from
+    * text to class and does the per-sentence work only for a text it has
+    * not seen.
+    * A new text is parsed, its [[SketchExtractor.keys]] are mapped to
+    * partition-local slots through one [[SketchExtractor.Dictionary]] and a
+    * ``LongMap`` from packed key to slot, and the class keeps each slot
+    * once. A row costs one map lookup and three ints. At the partition's
+    * end each slot's key is decoded to its ``repr`` once. With no repeated
+    * text every row is its own class, and the part carries about as many
+    * ints as one posting per pattern and row.
     *
     * [[repro.core.PreparedCorpus.prepare]] scans [[repro.data.CorpusGen.rows]],
     * a plain RDD, so phase one never touches Spark SQL; [[build]] scans a
@@ -131,53 +153,51 @@ object HeuristicIndex {
     * fails on JVMs started without ``--add-opens``.
     */
   private[repro] def scan[A: ClassTag](corpus: RDD[CorpusRow], cfg: SketchConfig)(
-      perRow: (CorpusRow, Parsed) => A): Array[IndexPart[A]] =
+      perText: Parsed => A): Array[IndexPart[A]] =
     corpus.mapPartitions { rows =>
-      val dict  = new SketchExtractor.Dictionary
-      val lists = mutable.LongMap.empty[Posting]
-      val side  = mutable.ArrayBuilder.make[A]
+      val dict     = new SketchExtractor.Dictionary
+      val classOf  = mutable.HashMap.empty[String, Int]
+      val slotOf   = mutable.LongMap.empty[Int]
+      val keys     = new mutable.ArrayBuilder.ofLong
+      var lastUser = new Array[Int](64) // per slot: 1 + the last class that emitted it
+      val start    = new mutable.ArrayBuilder.ofInt
+      val slots    = new mutable.ArrayBuilder.ofInt
+      val values   = mutable.ArrayBuilder.make[A]
+      val ids, classes, labels = new mutable.ArrayBuilder.ofInt
+      start.addOne(0)
       rows.foreach { row =>
-        val parsed = Pipeline.parse(row.text)
-        val sid    = row.id.toInt
-        SketchExtractor.keys(parsed, cfg, dict) { key =>
-          var ids = lists.getOrNull(key)
-          if (ids == null) { ids = new Posting; lists.update(key, ids) }
-          ids.add(sid)
-        }
-        side.addOne(perRow(row, parsed))
+        val cls = classOf.getOrElseUpdate(row.text, {
+          val c      = values.length
+          val parsed = Pipeline.parse(row.text)
+          SketchExtractor.keys(parsed, cfg, dict) { key =>
+            var slot = slotOf.getOrElse(key, -1)
+            if (slot < 0) {
+              slot = keys.length
+              slotOf.update(key, slot); keys.addOne(key)
+              if (slot == lastUser.length) lastUser = java.util.Arrays.copyOf(lastUser, 2 * slot)
+            }
+            if (lastUser(slot) != c + 1) { lastUser(slot) = c + 1; slots.addOne(slot) }
+          }
+          start.addOne(slots.length)
+          values.addOne(perText(parsed))
+          c
+        })
+        ids.addOne(row.id.toInt); classes.addOne(cls); labels.addOne(row.label)
       }
-      val keyed = lists.toArray
-      Iterator.single(IndexPart(keyed.map(e => SketchExtractor.decode(e._1, dict)),
-                                keyed.map(_._2.result()), side.result()))
+      Iterator.single(IndexPart(keys.result().map(SketchExtractor.decode(_, dict)),
+                                start.result(), slots.result(), values.result(),
+                                ids.result(), classes.result(), labels.result()))
     }.collect()
 
-  /** One pattern's sentence ids in one partition, in arrival order; adding
-    * the id it ended with is a no-op. ``result()`` hands the ids over and
-    * drops the growable buffer, so a partition never holds every buffer
-    * and every trimmed copy at once.
-    */
-  private final class Posting {
-    private var ids  = new Array[Int](4)
-    private var size = 0
-    def add(sid: Int): Unit =
-      if (size == 0 || ids(size - 1) != sid) {
-        if (size == ids.length) ids = java.util.Arrays.copyOf(ids, size * 2)
-        ids(size) = sid
-        size += 1
-      }
-    def result(): Array[Int] = {
-      val out = if (size == ids.length) ids else java.util.Arrays.copyOf(ids, size)
-      ids = null
-      out
-    }
-  }
-
-  /** Merges the parts of a [[HeuristicIndex.scan]] once, on the driver:
-    * sums each pattern's count over the parts, keeps the patterns whose
-    * coverage lies in ``[minCover, maxCoverFrac·n]``, and concatenates
-    * their lists in part order. A concatenation is sorted only if it is
-    * not already ascending, as it is whenever each partition holds an
-    * ascending id range. ``n`` is the parts' total row count.
+  /** Merges the parts of a [[HeuristicIndex.scan]] once, on the driver.
+    * Each part's slots are mapped to global pattern ids, and a pattern's
+    * count is the sum of the sizes of the classes that emitted it. The
+    * patterns whose coverage lies in ``[minCover, maxCoverFrac·n]`` are
+    * kept; each kept list is allocated at its exact size and filled by
+    * walking the rows in part order, so a pruned pattern never gets a
+    * list. A list is sorted only if it is not already ascending, as it is
+    * whenever each partition holds an ascending id range. ``n`` is the
+    * parts' total row count.
     */
   private[repro] def merge(parts: Iterable[IndexPart[_]], minCover: Option[Int],
                            maxCoverFrac: Double): HeuristicIndex = {
@@ -185,28 +205,70 @@ object HeuristicIndex {
     val minC  = minCover.getOrElse(defaultMinCover(total))
     val maxC  = math.max(minC.toLong, (maxCoverFrac * total).toLong)
 
-    val chunks = mutable.HashMap.empty[String, mutable.ArrayBuffer[Array[Int]]]
-    for (part <- parts; k <- part.patterns.indices)
-      chunks.getOrElseUpdate(part.patterns(k), mutable.ArrayBuffer.empty) += part.postings(k)
+    val gidOf    = mutable.HashMap.empty[String, Int]
+    val patterns = mutable.ArrayBuffer.empty[String]
+    val globals  = parts.map { part =>
+      part.patterns.map(p => gidOf.getOrElseUpdate(p, { patterns += p; patterns.length - 1 }))
+    }
+    val counts = new Array[Int](patterns.length)
+    for ((part, gid) <- parts.zip(globals)) {
+      val size = new Array[Int](part.texts)
+      part.classes.foreach(c => size(c) += 1)
+      for (c <- 0 until part.texts; k <- part.classStart(c) until part.classStart(c + 1))
+        counts(gid(part.slots(k))) += size(c)
+    }
 
     var postings = 0L; var keptPostings = 0L; var longest = 0; var low = 0; var high = 0
-    val entries = Map.newBuilder[String, IndexEntry]
-    for ((p, lists) <- chunks) {
-      val count = lists.iterator.map(_.length).sum
+    val lists = new Array[Array[Int]](patterns.length)
+    for (g <- patterns.indices) {
+      val count = counts(g)
       postings += count
       if (count < minC) low += 1
       else if (count > maxC) high += 1
       else {
-        val ids = Array.concat(lists.toSeq: _*)
-        if (!ascending(ids)) java.util.Arrays.sort(ids)
-        entries += p -> IndexEntry(p, count, ids)
+        lists(g) = new Array[Int](count)
         keptPostings += count
         longest = math.max(longest, count)
       }
     }
+
+    val filled = new Array[Int](patterns.length)
+    for ((part, gid) <- parts.zip(globals)) {
+      // each class's kept patterns, as global ids
+      val keptStart = new Array[Int](part.texts + 1)
+      val kept      = new mutable.ArrayBuilder.ofInt
+      for (c <- 0 until part.texts) {
+        for (k <- part.classStart(c) until part.classStart(c + 1)) {
+          val g = gid(part.slots(k))
+          if (lists(g) != null) kept.addOne(g)
+        }
+        keptStart(c + 1) = kept.length
+      }
+      val keptIds = kept.result()
+      var r = 0
+      while (r < part.rows) {
+        val id = part.ids(r); val c = part.classes(r)
+        var k = keptStart(c)
+        while (k < keptStart(c + 1)) {
+          val g = keptIds(k)
+          lists(g)(filled(g)) = id
+          filled(g) += 1
+          k += 1
+        }
+        r += 1
+      }
+    }
+
+    val entries = Map.newBuilder[String, IndexEntry]
+    for (g <- patterns.indices if lists(g) != null) {
+      val ids = lists(g)
+      if (!ascending(ids)) java.util.Arrays.sort(ids)
+      entries += patterns(g) -> IndexEntry(patterns(g), ids.length, ids)
+    }
     val kept = entries.result()
-    assemble(total.toInt, kept, IndexStats(total.toInt, chunks.size, postings, kept.size,
-                                           low, high, keptPostings, longest))
+    assemble(total.toInt, kept,
+             IndexStats(total.toInt, parts.iterator.map(_.texts).sum, patterns.length, postings,
+                        kept.size, low, high, keptPostings, longest))
   }
 
   private def ascending(ids: Array[Int]): Boolean = {
@@ -220,7 +282,7 @@ object HeuristicIndex {
     */
   def fromEntries(n: Int, entries: Map[String, IndexEntry]): HeuristicIndex = {
     val counts = entries.valuesIterator.map(_.count).toArray
-    assemble(n, entries, IndexStats(n, 0, 0L, counts.length, 0, 0,
+    assemble(n, entries, IndexStats(n, 0, 0, 0L, counts.length, 0, 0,
                                     counts.map(_.toLong).sum, counts.maxOption.getOrElse(0)))
   }
 

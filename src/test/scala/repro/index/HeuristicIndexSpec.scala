@@ -3,6 +3,7 @@ package repro.index
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestCorpora}
+import repro.core.PreparedCorpus
 import repro.data.{CorpusGen, CorpusRow, Datasets, DatasetSpec}
 import repro.grammar.{Heuristic, ReferenceSketches, SketchConfig, SketchExtractor}
 import repro.text.{Embeddings, Pipeline}
@@ -68,9 +69,9 @@ class HeuristicIndexSpec extends SparkSpec {
     val shuffled = corpus.repartition(7)
     // the shuffle hands each partition its ids out of order, so only the
     // merge's sort keeps the lists identical
-    val parts = HeuristicIndex.scan(shuffled.rdd, SketchConfig())((_, _) => ())
+    val parts = HeuristicIndex.scan(shuffled.rdd, SketchConfig())(_ => ())
     assert(parts.length === 7)
-    assert(parts.exists(_.postings.exists(ids => !ids.sameElements(ids.sorted))))
+    assert(parts.exists(part => !part.ids.sameElements(part.ids.sorted)))
     assert(built(shuffled) === asGenerated)
   }
 
@@ -91,10 +92,98 @@ class HeuristicIndexSpec extends SparkSpec {
     }
   }
 
+  /** Rows in three partitions: texts repeated within and across
+    * partitions, one text under both labels, ids out of order and not
+    * contiguous within a partition (all of ``0 until n`` overall), and a
+    * last partition with no repeated text.
+    */
+  private def handmadeRows(): Vector[Vector[CorpusRow]] = {
+    val t = Iterator.from(0).map(i => Datasets.tweets.sentence(i.toLong)._1)
+      .distinct.take(10).toVector
+    def r(id: Int, text: Int, label: Int) = CorpusRow(id.toLong, t(text), label)
+    Vector(
+      Vector(r(9, 0, 0), r(2, 1, 0), r(14, 0, 0), r(0, 2, 1), r(11, 1, 0), r(5, 0, 0)),
+      Vector(r(3, 1, 0), r(17, 3, 0), r(8, 3, 1), r(1, 0, 0), r(16, 1, 0)),
+      Vector(r(12, 4, 0), r(4, 2, 1), r(15, 5, 0), r(7, 6, 0), r(10, 7, 0), r(6, 8, 0),
+             r(13, 9, 1)),
+    )
+  }
+
+  test("factored scan: entries, labels, features and stats equal a brute-force reference") {
+    val parts  = handmadeRows()
+    val rows   = parts.flatten
+    val n      = rows.length
+    val rdd    = spark.sparkContext.parallelize(parts, parts.length).flatMap(identity)
+    val (minC, maxFrac) = (2, 0.5)
+    val prepared =
+      PreparedCorpus.ofRows("handmade", rdd, minCover = Some(minC), maxCoverFrac = maxFrac)
+    assert(prepared.n === n)
+    assert(rows.map(_.id.toInt).sorted === (0 until n))
+
+    val lists = rows
+      .flatMap(row => ReferenceSketches.patterns(Pipeline.parse(row.text)).map(_ -> row.id.toInt))
+      .groupMap(_._1)(_._2).view.mapValues(_.sorted).toMap
+    val maxC     = (maxFrac * n).toLong
+    val kept     = lists.filter { case (_, ids) => ids.length >= minC && ids.length <= maxC }
+    assert(idsByPattern(prepared.index) === kept)
+    for (e <- prepared.index.entries.values) assert(e.count === e.ids.length)
+    assert(prepared.index.stats === IndexStats(
+      rows = n,
+      textsParsed = parts.map(_.map(_.text).distinct.length).sum,
+      patternsEmitted = lists.size,
+      postingsEmitted = lists.valuesIterator.map(_.length.toLong).sum,
+      patternsKept = kept.size,
+      prunedLow = lists.count(_._2.length < minC),
+      prunedHigh = lists.count(_._2.length > maxC),
+      postingsKept = kept.valuesIterator.map(_.length.toLong).sum,
+      longestList = kept.valuesIterator.map(_.length).max))
+    assert(prepared.index.stats.textsParsed < n)
+
+    val bits = (_: Array[Float]).map(java.lang.Float.floatToRawIntBits).toSeq
+    for (row <- rows) {
+      val id     = row.id.toInt
+      val parsed = Pipeline.parse(row.text)
+      assert(prepared.gt.get(id) === (row.label == 1), s"$id")
+      assert(bits(prepared.features(id)) === bits(Embeddings.features(parsed.tokens, parsed.pos)),
+             s"$id")
+    }
+    for (part <- parts; x <- part; y <- part if x.id != y.id) {
+      val shared = prepared.features(x.id.toInt) eq prepared.features(y.id.toInt)
+      assert(shared === (x.text == y.text), s"${x.id} ${y.id}")
+    }
+    // the text under both labels is one class with two labels
+    assert(prepared.gt.get(8) && !prepared.gt.get(17))
+    assert(prepared.features(8) eq prepared.features(17))
+  }
+
+  test("prepare does not depend on how the corpus is partitioned (professions 4000)") {
+    val rows = CorpusGen.rows(spark, Datasets.professions, 4000L)
+    val bits = (p: PreparedCorpus) =>
+      p.features.toSeq.map(_.map(java.lang.Float.floatToRawIntBits).toSeq)
+    val reference = TestCorpora.professionsSmall(spark)
+    val distinct  = (0 until 4000).map(Datasets.professions.sentence(_)._1).distinct.size
+    for ((partitions, rdd) <- Seq(1 -> rows.coalesce(1), 4 -> rows.repartition(4),
+                                  13 -> rows.repartition(13))) {
+      val how      = s"$partitions partitions"
+      val prepared = PreparedCorpus.ofRows(Datasets.professions.name, rdd)
+      assert(rdd.getNumPartitions === partitions)
+      assert(idsByPattern(prepared.index) === idsByPattern(reference.index), how)
+      assert(prepared.index.stats.copy(textsParsed = 0) ===
+               reference.index.stats.copy(textsParsed = 0), how)
+      assert(bits(prepared) === bits(reference), how)
+      assert(prepared.gt === reference.gt, how)
+      if (partitions == 1) assert(prepared.index.stats.textsParsed === distinct)
+    }
+  }
+
   test("index stats: kept and pruned patterns add up to the emitted ones") {
     val s        = index.stats
     val sketches = parsedAll.map(p => SketchExtractor.patterns(p))
     assert(s.rows === nSmall)
+    val distinctPerPartition = CorpusGen.rows(spark, Datasets.tweets, nSmall)
+      .mapPartitions(rows => Iterator.single(rows.map(_.text).toSet.size)).collect()
+    assert(s.textsParsed === distinctPerPartition.sum)
+    assert(s.textsParsed <= s.rows)
     assert(s.patternsEmitted === sketches.flatten.distinct.size)
     assert(s.postingsEmitted === sketches.map(_.length.toLong).sum)
     assert(s.patternsKept === index.entries.size)
@@ -217,7 +306,7 @@ class HeuristicIndexSpec extends SparkSpec {
     assert(idx.children("G:a") === Vector("G:a b"))
     assert(idx.children("G:b") === Vector("G:a b"))
     assert(idx.parents("G:a b").toSet === Set("G:a", "G:b"))
-    assert(idx.stats === IndexStats(rows = 3, patternsEmitted = 0, postingsEmitted = 0L,
+    assert(idx.stats === IndexStats(rows = 3, textsParsed = 0, patternsEmitted = 0, postingsEmitted = 0L,
       patternsKept = 3, prunedLow = 0, prunedHigh = 0, postingsKept = 7L, longestList = 3))
   }
 
