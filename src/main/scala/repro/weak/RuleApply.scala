@@ -5,13 +5,10 @@ import org.apache.spark.sql.functions._
 import repro.data.CorpusRow
 import repro.grammar.Heuristic
 import repro.text.Pipeline
-import scala.collection.mutable
 
 /** Distributed rule application: turn a discovered rule set into weak
-  * labels over a (possibly much larger) corpus in one ``mapPartitions``
-  * pass — the final labeling pass that feeds Snorkel/classifier training.
-  * A sentence's votes depend only on its text, so each partition parses
-  * and matches each distinct text once, as the index scan does.
+  * labels over a (possibly much larger) corpus with a DataFrame UDF —
+  * the final labeling pass that feeds Snorkel/classifier training.
   *
   * Each output row carries the per-rule vote vector and the union weak
   * label, so the label model can be fitted from the result as well.
@@ -21,23 +18,18 @@ object RuleApply {
   /** @return DataFrame(id, text, label, votes: array<int of rule idx>, weakLabel) */
   def weakLabels(spark: SparkSession, corpus: Dataset[CorpusRow],
                  rules: Seq[String]): DataFrame = {
-    import spark.implicits._
     val parsedRules = rules.map(Heuristic.parse).toArray
     val bcast = spark.sparkContext.broadcast(parsedRules)
-    corpus.mapPartitions { rows =>
-      val rs      = bcast.value
-      val votesOf = mutable.HashMap.empty[String, Array[Int]]
-      rows.map { row =>
-        val votes = votesOf.getOrElseUpdate(row.text, {
-          val p   = Pipeline.parse(row.text)
-          val out = Array.newBuilder[Int]
-          var i   = 0
-          while (i < rs.length) { if (rs(i).matches(p)) out += i; i += 1 }
-          out.result()
-        })
-        (row.id, row.text, row.label, votes)
-      }
-    }.toDF("id", "text", "label", "votes")
+    val votesUdf = udf { (text: String) =>
+      val p     = Pipeline.parse(text)
+      val rs    = bcast.value
+      val votes = Array.newBuilder[Int]
+      var i     = 0
+      while (i < rs.length) { if (rs(i).matches(p)) votes += i; i += 1 }
+      votes.result()
+    }
+    corpus.toDF()
+      .withColumn("votes", votesUdf(col("text")))
       .withColumn("weakLabel", (size(col("votes")) > 0).cast("int"))
   }
 }
