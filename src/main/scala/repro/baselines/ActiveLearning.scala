@@ -13,15 +13,18 @@ object ActiveLearning {
   final case class Step(queries: Int, f1: Double)
   final case class Result(steps: Vector[Step], model: Model)
 
+  /** F1 is recorded every this many queries, and at the budget. */
+  val EvalEvery = 10
+
+  /** Seed of the bootstrap sample. */
+  private val Seed = 23L
+
   /** @param seedPos a couple of known positive ids (same seeding as Darwin)
     * @param budget  number of instance labels to request
-    * @param evalEvery record F1 every this many queries
     */
-  def run(prep: PreparedCorpus, seedPos: Array[Int], budget: Int,
-          evalEvery: Int = 10, seed: Long = 23,
-          cfg: Classifier.Config = Classifier.Config()): Result = {
+  def run(prep: PreparedCorpus, seedPos: Array[Int], budget: Int): Result = {
     val oracle  = new InstanceOracle(prep.gt)
-    val rng     = new SplitMix(seed)
+    val rng     = new SplitMix(Seed)
     val labeled = scala.collection.mutable.HashMap.empty[Int, Int]
     seedPos.foreach(labeled(_) = 1)
     // a few random instances bootstrap the negative class
@@ -35,7 +38,7 @@ object ActiveLearning {
     def trainNow(): Model = {
       val pos = labeled.collect { case (i, 1) => i }.toArray
       val neg = labeled.collect { case (i, 0) => i }.toArray
-      Classifier.train(prep.features, pos, neg, cfg)
+      Classifier.train(prep.features, pos, neg)
     }
     var model = trainNow()
     val steps = Vector.newBuilder[Step]
@@ -54,7 +57,7 @@ object ActiveLearning {
       if (best < 0) return Result(steps.result(), model)
       labeled(best) = oracle.label(best)
       model = trainNow()
-      if (oracle.queries % evalEvery == 0 || oracle.queries == budget)
+      if (oracle.queries % EvalEvery == 0 || oracle.queries == budget)
         steps += Step(oracle.queries, Metrics.ofModel(prep, model).f1)
     }
     Result(steps.result(), model)

@@ -3,6 +3,7 @@ package repro.baselines
 import repro.core.{Classifier, InstanceOracle, Model, PreparedCorpus}
 import repro.data.SplitMix
 import repro.eval.Metrics
+import repro.grammar.{Heuristic, Term}
 
 /** Keyword-sampling baseline (paper §4.4): annotators provide 10 relevant
   * keywords; the corpus is filtered to sentences containing any keyword,
@@ -14,18 +15,22 @@ object KeywordSampling {
   final case class Step(queries: Int, f1: Double)
   final case class Result(steps: Vector[Step], model: Model, poolSize: Int)
 
-  def run(prep: PreparedCorpus, keywords: Seq[String], budget: Int,
-          evalEvery: Int = 10, seed: Long = 29,
-          cfg: Classifier.Config = Classifier.Config()): Result = {
+  /** F1 is recorded every this many queries, and at the budget. */
+  private val EvalEvery = 10
+
+  /** Seed of the pool and negative draws. */
+  private val Seed = 29L
+
+  def run(prep: PreparedCorpus, keywords: Seq[String], budget: Int): Result = {
     val oracle = new InstanceOracle(prep.gt)
-    val rng    = new SplitMix(seed)
+    val rng    = new SplitMix(Seed)
 
     // Pool = union of the keywords' (token-terminal) coverage sets.
     val pool = {
       val bs = new java.util.BitSet(prep.n)
       keywords.foreach { w =>
-        prep.index.ids(s"T:t=$w").foreach(bs.set)
-        prep.index.ids(s"G:$w").foreach(bs.set)
+        prep.index.ids(Heuristic.TermPat(Term.Tok(w)).repr).foreach(bs.set)
+        prep.index.ids(Heuristic.Phrase(Vector(w)).repr).foreach(bs.set)
       }
       Classifier.bitsetIndices(bs)
     }
@@ -41,7 +46,7 @@ object KeywordSampling {
       val extraNeg = Array.fill(math.max(0, 2 * pos.length - negLabeled.length)) {
         rng.nextInt(prep.n)
       }.filterNot(i => labeled.get(i).contains(1))
-      Classifier.train(prep.features, pos, negLabeled ++ extraNeg, cfg)
+      Classifier.train(prep.features, pos, negLabeled ++ extraNeg)
     }
 
     if (pool.isEmpty) return Result(Vector(Step(0, 0.0)), model, 0)
@@ -50,7 +55,7 @@ object KeywordSampling {
       val i = pool(rng.nextInt(pool.length))
       if (!labeled.contains(i)) {
         labeled(i) = oracle.label(i)
-        if (oracle.queries % evalEvery == 0 || oracle.queries == budget) {
+        if (oracle.queries % EvalEvery == 0 || oracle.queries == budget) {
           model = trainNow()
           steps += Step(oracle.queries, Metrics.ofModel(prep, model).f1)
         }

@@ -13,9 +13,13 @@ import scala.collection.mutable
   */
 object Snuba {
 
+  /** A rule's precision floor on the labeled subset. */
+  val MinPrecision = 0.8
+
+  /** Labeled positives a rule must cover. */
+  val MinPositives = 2
+
   final case class Config(
-      minPrecision: Double = 0.8,  // on the labeled subset
-      minPositives: Int = 2,       // labeled positives a rule must cover
       maxJaccard: Double = 0.5,    // diversity vs already-selected rules
       maxRules: Int = 50,
   )
@@ -44,8 +48,8 @@ object Snuba {
       if (labHits.isEmpty) None
       else {
         val posHits = labHits.filter(labeledPos)
-        if (posHits.size >= cfg.minPositives &&
-            posHits.size.toDouble / labHits.size >= cfg.minPrecision)
+        if (posHits.size >= MinPositives &&
+            posHits.size.toDouble / labHits.size >= MinPrecision)
           Some(Cand(e.pattern, posHits, labHits))
         else None
       }

@@ -22,8 +22,6 @@ object Strategy {
 
 final case class DarwinConfig(
     k: Int = 10000,                                  // candidates per hierarchy generation (paper: 10K)
-    minAvgBenefit: Double = 0.5,                     // Alg. 4/5 per-instance benefit cutoff
-    maxAskedJaccard: Double = 0.8,                   // §3.2 diversity: skip near-duplicates of asked rules
     classifier: Classifier.Config = Classifier.Config(),
     seed: Long = 42,
 )
@@ -133,7 +131,7 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     }
     def redundant(p: String): Boolean = {
       val ids = index.ids(p)
-      askedCoverages.exists(jaccard(ids, _) >= cfg.maxAskedJaccard)
+      askedCoverages.exists(jaccard(ids, _) >= Darwin.MaxAskedJaccard)
     }
 
     def regen(): mutable.LinkedHashSet[String] =
@@ -175,7 +173,7 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
 
     // One traversal loop; the strategy only picks its settings (DESIGN.md,
     // "Traversal loop"): the pools it uses, the ranking key, whether
-    // universal mode skips rules with avg benefit ≤ minAvgBenefit, and τ.
+    // universal mode skips rules with avg benefit ≤ MinAvgBenefit, and τ.
     // The mode flips after τ+1 consecutive rejections or on an empty pool.
     val (useLocal, useUniversal, key, skipLowAvg, tau) = strategy match {
       case Strategy.LocalSearch     => (true, false, byBenefit, false, Int.MaxValue)
@@ -213,7 +211,7 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
       if (attempt > tau) flip()
       if (pool.isEmpty) flip()
       val r = pick(pool, key).get
-      if (inUniversal && skipLowAvg && avgBenefit(r) <= cfg.minAvgBenefit) {
+      if (inUniversal && skipLowAvg && avgBenefit(r) <= Darwin.MinAvgBenefit) {
         universal -= r // skipped, no oracle cost (see DESIGN.md)
       } else {
         universal -= r; local -= r; asked += r
@@ -235,4 +233,17 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
 
     DarwinResult(R.toVector, P, trace.result(), model)
   }
+}
+
+object Darwin {
+
+  /** Alg. 4/5: universal mode skips a rule whose average per-instance
+    * benefit is at most this.
+    */
+  val MinAvgBenefit = 0.5
+
+  /** §3.2 diversity: a rule whose coverage has at least this Jaccard
+    * similarity with an already-asked rule is never asked.
+    */
+  val MaxAskedJaccard = 0.8
 }

@@ -11,12 +11,18 @@ trait RuleOracle {
   def queries: Int
 }
 
-/** Ground-truth oracle used in §4.1: YES iff at least ``threshold`` of the
-  * coverage set is positive (the paper responds YES when ≥80% of the
-  * coverage consists of positives).
+object RuleOracle {
+
+  /** An adequately precise rule: the paper's oracle answers YES when at
+    * least 80% of what it is shown is positive (§4.1).
+    */
+  val MinPrecision = 0.8
+}
+
+/** Ground-truth oracle used in §4.1: YES iff at least
+  * [[RuleOracle.MinPrecision]] of the coverage set is positive.
   */
-final class ExactOracle(gt: java.util.BitSet, val threshold: Double = 0.8)
-    extends RuleOracle {
+final class ExactOracle(gt: java.util.BitSet) extends RuleOracle {
   private var q = 0
   def queries: Int = q
 
@@ -26,19 +32,18 @@ final class ExactOracle(gt: java.util.BitSet, val threshold: Double = 0.8)
 
   def query(coverage: Array[Int]): Boolean = {
     q += 1
-    precision(coverage) >= threshold
+    precision(coverage) >= RuleOracle.MinPrecision
   }
 }
 
 /** Sample-based noisy oracle modelling the §4.5 crowd experiment: the
-  * annotator sees ``sampleSize`` random covered sentences and answers YES
-  * iff at least ``threshold`` of the sample is positive — so a rule whose
+  * annotator sees 5 random covered sentences and answers YES iff at least
+  * [[RuleOracle.MinPrecision]] of the sample is positive — so a rule whose
   * 5-sentence sample happens to contain 4 positives gets a false YES, the
   * exact error mode the paper reports.
   */
-final class SampleOracle(gt: java.util.BitSet, sampleSize: Int = 5,
-                         threshold: Double = 0.8, seed: Long = 7)
-    extends RuleOracle {
+final class SampleOracle(gt: java.util.BitSet, seed: Long = 7) extends RuleOracle {
+  private val SampleSize = 5
   private var q   = 0
   private val rng = new SplitMix(seed)
   def queries: Int = q
@@ -47,11 +52,11 @@ final class SampleOracle(gt: java.util.BitSet, sampleSize: Int = 5,
     q += 1
     if (coverage.isEmpty) return false
     var pos = 0; var k = 0
-    while (k < sampleSize) {
+    while (k < SampleSize) {
       if (gt.get(coverage(rng.nextInt(coverage.length)))) pos += 1
       k += 1
     }
-    pos.toDouble / sampleSize >= threshold
+    pos.toDouble / SampleSize >= RuleOracle.MinPrecision
   }
 }
 

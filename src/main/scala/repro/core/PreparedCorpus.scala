@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.data.{CorpusGen, CorpusRow, DatasetSpec}
-import repro.grammar.SketchConfig
 import repro.index.HeuristicIndex
 import repro.text.Embeddings
 
@@ -57,12 +56,8 @@ object PreparedCorpus {
     * parsed once, for both its sketches and its features.
     */
   def prepare(spark: SparkSession, spec: DatasetSpec,
-              nOverride: Option[Long] = None,
-              cfg: SketchConfig = SketchConfig(),
-              minCover: Option[Int] = None,
-              maxCoverFrac: Double = 0.2): PreparedCorpus =
-    ofRows(spec.name, CorpusGen.rows(spark, spec, nOverride.getOrElse(spec.n)),
-           cfg, minCover, maxCoverFrac)
+              nOverride: Option[Long] = None): PreparedCorpus =
+    ofRows(spec.name, CorpusGen.rows(spark, spec, nOverride.getOrElse(spec.n)))
 
   /** [[prepare]] over given rows, whose ids must be ``0 until rows.count``
     * in any order and partitioning. One [[HeuristicIndex.scan]] parses each
@@ -70,12 +65,9 @@ object PreparedCorpus {
     * every row of that text in that partition gets the same read-only
     * feature array.
     */
-  private[repro] def ofRows(name: String, rows: RDD[CorpusRow],
-                            cfg: SketchConfig = SketchConfig(),
-                            minCover: Option[Int] = None,
-                            maxCoverFrac: Double = 0.2): PreparedCorpus = {
-    val parts = HeuristicIndex.scan(rows, cfg)(p => Embeddings.features(p.tokens, p.pos))
-    val index = HeuristicIndex.merge(parts, minCover, maxCoverFrac)
+  private[repro] def ofRows(name: String, rows: RDD[CorpusRow]): PreparedCorpus = {
+    val parts = HeuristicIndex.scan(rows)(p => Embeddings.features(p.tokens, p.pos))
+    val index = HeuristicIndex.merge(parts)
     val n     = index.n
 
     val features = new Array[Array[Float]](n)

@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines.{ActiveLearning, KeywordSampling, Snuba}
 import repro.core._
 import repro.data.{CorpusGen, DatasetSpec, Datasets, SplitMix}
+import repro.grammar.{Heuristic, Term}
 import repro.weak.LabelModel
 
 /** The paper's evaluation: one function per table/figure ([[table1]],
@@ -20,16 +21,13 @@ object Experiments {
 
   // ---------------------------------------------------------------- corpora
 
-  /** The local SparkSession of the jobs and the test suites. Broadcast
-    * joins are off so that joins take the shuffle path at every size.
-    */
+  /** The local SparkSession of the jobs and the test suites. */
   def session(app: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", false)
       .getOrCreate()
 
@@ -132,7 +130,7 @@ object Experiments {
     val excluded: Int => Boolean = excludeToken match {
       case Some(w) =>
         val bs = new java.util.BitSet(prep.n)
-        prep.index.ids(s"T:t=$w").foreach(bs.set)
+        prep.index.ids(Heuristic.TermPat(Term.Tok(w)).repr).foreach(bs.set)
         bs.get _
       case None => _ => false
     }
@@ -157,17 +155,22 @@ object Experiments {
 
   final case class SeedSweepRow(seedSize: Int, darwinRecall: Double, snubaRecall: Double)
 
+  /** Seed of [[snubaComparison]]'s samples; a seed size s samples with
+    * seed ``SweepSeed + s``.
+    */
+  private val SweepSeed = 101L
+
   /** Fig. 7/8: fraction of positives identified vs labeled-seed size, for
     * Darwin(HS) (budget oracle queries) and Snuba (no oracle).
     */
   def snubaComparison(prep: PreparedCorpus, seedSizes: Seq[Int], budget: Int,
-                      biased: Boolean, seed: Long = 101): Vector[SeedSweepRow] = {
+                      biased: Boolean): Vector[SeedSweepRow] = {
     val exclude = if (biased) {
       require(prep.positiveIds.nonEmpty)
       Datasets.all.find(_.name == prep.name).flatMap(_.biasToken)
     } else None
     seedSizes.toVector.map { size =>
-      val labeled = sampleSeed(prep, size, seed + size, exclude)
+      val labeled = sampleSeed(prep, size, SweepSeed + size, exclude)
       val seedPos = labeled.collect { case (i, 1) => i }
       val oracle  = new ExactOracle(prep.gt)
       val dRes    = new Darwin(prep, oracle).runFromPositives(seedPos, budget, Strategy.HybridSearch())

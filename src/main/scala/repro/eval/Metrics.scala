@@ -13,6 +13,12 @@ object Metrics {
     Classifier.Config(negRatio = 8, negWeight = 1.0,
                       posWeight = Some(1.0), l2 = 0.005)
 
+  /** Seed of the end classifier's negative sample. */
+  private val FinalSeed = 17L
+
+  /** Score at which a classifier calls a sentence positive. */
+  private val DecisionThreshold = 0.5
+
   final case class PRF(precision: Double, recall: Double, f1: Double)
 
   def prf(tp: Int, fp: Int, fn: Int): PRF = {
@@ -37,12 +43,12 @@ object Metrics {
     prf(tp, fp, fn)
   }
 
-  /** Classifier F-score over the whole corpus at threshold 0.5 (§4.4). */
-  def ofModel(prep: PreparedCorpus, model: Model, threshold: Double = 0.5): PRF = {
+  /** Classifier F-score over the whole corpus at [[DecisionThreshold]] (§4.4). */
+  def ofModel(prep: PreparedCorpus, model: Model): PRF = {
     val pred = new java.util.BitSet(prep.n)
     var i = 0
     while (i < prep.n) {
-      if (model.score(prep.features(i)) >= threshold) pred.set(i)
+      if (model.score(prep.features(i)) >= DecisionThreshold) pred.set(i)
       i += 1
     }
     ofBitset(pred, prep.gt, prep.n)
@@ -54,10 +60,7 @@ object Metrics {
     * once discovery is done, the uncovered corpus serves as abundant
     * (noisy) negatives, standard in weak supervision.
     */
-  def classifierF1(prep: PreparedCorpus, positives: java.util.BitSet,
-                   seed: Long = 17,
-                   cfg: Classifier.Config = Metrics.FinalClassifier): PRF = {
-    val m = Classifier.trainOnPositives(prep.features, positives, prep.n, seed, cfg)
-    ofModel(prep, m)
-  }
+  def classifierF1(prep: PreparedCorpus, positives: java.util.BitSet): PRF =
+    ofModel(prep, Classifier.trainOnPositives(prep.features, positives, prep.n, FinalSeed,
+                                              FinalClassifier))
 }

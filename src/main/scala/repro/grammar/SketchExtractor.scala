@@ -14,7 +14,7 @@ import scala.collection.mutable
   *
   * Indexed family (bounded so the index stays linear in corpus size, as
   * the paper's fixed derivation depth does):
-  *  - phrases of length 1..maxPhraseLen;
+  *  - phrases of length 1..[[Heuristic.MaxPhraseLen]];
   *  - TreeMatch terminals (every token, every POS tag);
   *  - ChildPat over every dependency edge, all 4 Tok/Pos combos;
   *  - DescPat over ancestor pairs within distance [[Heuristic.MaxDescDist]],
@@ -40,10 +40,6 @@ import scala.collection.mutable
   * Extraction is complete for this family: ``patterns(p).contains(h.repr)``
   * iff ``h.matches(p)`` for every family heuristic ``h`` (tested).
   */
-final case class SketchConfig(
-    maxPhraseLen: Int = Heuristic.MaxPhraseLen,
-    includeTree: Boolean = true,
-)
 
 object SketchExtractor extends Serializable {
 
@@ -137,10 +133,10 @@ object SketchExtractor extends Serializable {
     * satisfies: its keys, under a fresh dictionary, deduplicated and
     * decoded.
     */
-  def patterns(p: Parsed, cfg: SketchConfig = SketchConfig()): Array[String] = {
+  def patterns(p: Parsed): Array[String] = {
     val dict = new Dictionary
     val out  = new mutable.ArrayBuilder.ofLong
-    keys(p, cfg, dict)(k => out.addOne(k))
+    keys(p, dict)(k => out.addOne(k))
     val ks = out.result()
     java.util.Arrays.sort(ks)
     val distinct = mutable.ArrayBuilder.make[String]
@@ -160,7 +156,7 @@ object SketchExtractor extends Serializable {
     * strings ([[Dictionary.termLeq]]), never by id, so a decoded key is
     * exactly the pattern's canonical ``repr``.
     */
-  def keys(p: Parsed, cfg: SketchConfig, dict: Dictionary)(emit: Long => Unit): Unit = {
+  def keys(p: Parsed, dict: Dictionary)(emit: Long => Unit): Unit = {
     val n   = p.length
     val tok = new Array[Int](n)
     var i = 0
@@ -171,14 +167,13 @@ object SketchExtractor extends Serializable {
     while (i < n) {
       var phrase = tok(i)
       var len    = 1
-      while (len <= cfg.maxPhraseLen && i + len <= n) {
+      while (len <= Heuristic.MaxPhraseLen && i + len <= n) {
         if (len > 1) phrase = dict.node(phrase, tok(i + len - 1))
         emit(key(G, phrase, 0))
         len += 1
       }
       i += 1
     }
-    if (!cfg.includeTree) return
 
     // terminals
     val tag = new Array[Int](n)
@@ -276,17 +271,15 @@ object SketchExtractor extends Serializable {
   /** Is ``h`` a member of the indexed family for some sentence? Used by
     * tests to scope the completeness check.
     */
-  def inFamily(h: Heuristic, cfg: SketchConfig = SketchConfig()): Boolean = h match {
-    case Heuristic.Phrase(ws) => ws.length <= cfg.maxPhraseLen
-    case _: Heuristic.TermPat | _: Heuristic.ChildPat | _: Heuristic.DescPat =>
-      cfg.includeTree
+  def inFamily(h: Heuristic): Boolean = h match {
+    case Heuristic.Phrase(ws) => ws.length <= Heuristic.MaxPhraseLen
+    case _: Heuristic.TermPat | _: Heuristic.ChildPat | _: Heuristic.DescPat => true
     case Heuristic.AndPat(a, b) =>
-      cfg.includeTree && (a, b).productIterator.forall {
+      (a, b).productIterator.forall {
         case Term.Tok(w) => Vocab.contentPos(Vocab.info(w).pos)
         case _           => false
       }
     case Heuristic.Child2Pat(a, b, c) =>
-      cfg.includeTree && a.isInstanceOf[Term.Tok] &&
-        !(b.isInstanceOf[Term.Pos] && c.isInstanceOf[Term.Pos])
+      a.isInstanceOf[Term.Tok] && !(b.isInstanceOf[Term.Pos] && c.isInstanceOf[Term.Pos])
   }
 }

@@ -3,16 +3,19 @@ package repro.index
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.data.CorpusRow
-import repro.grammar.{Heuristic, SketchConfig, SketchExtractor}
+import repro.grammar.{Heuristic, SketchExtractor}
 import repro.text.{Parsed, Pipeline}
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
-/** One indexed heuristic: its corpus coverage count and inverted list
-  * (sorted sentence ids). The inverted list is exact — extraction is
-  * complete for the indexed family (see [[SketchExtractor]]).
+/** One indexed heuristic and its inverted list (sorted sentence ids); its
+  * corpus coverage count is the list's length. The inverted list is exact
+  * — extraction is complete for the indexed family (see
+  * [[SketchExtractor]]).
   */
-final case class IndexEntry(pattern: String, count: Int, ids: Array[Int])
+final case class IndexEntry(pattern: String, ids: Array[Int]) {
+  def count: Int = ids.length
+}
 
 /** One corpus partition's share of the index build, factored by sentence
   * class: the partition's rows with the same text form one class, parsed
@@ -60,8 +63,9 @@ final case class IndexStats(
 }
 
 /** The corpus index of paper §3.1: a compact representation of every
-  * heuristic satisfied by at least ``minCover`` (and at most
-  * ``maxCoverFrac·n``) sentences, with counts, inverted lists, and
+  * heuristic satisfied by at least [[HeuristicIndex.defaultMinCover]]
+  * (and at most [[HeuristicIndex.MaxCoverFrac]]·n) sentences, with
+  * counts, inverted lists, and
   * parent/child navigation following the grammar's derivation rules.
   *
   * Built by [[HeuristicIndex.build]] the way the paper describes: "index
@@ -114,18 +118,17 @@ object HeuristicIndex {
   def defaultMinCover(n: Long): Int =
     math.max(2, math.ceil(math.log(n.toDouble.max(2))).toInt)
 
+  /** Heuristics covering more than this fraction of the corpus are pruned
+    * from the index: they can never reach precision 0.8 on an imbalanced
+    * task and (paper §4.3) the oracle rejects them.
+    */
+  val MaxCoverFrac = 0.2
+
   /** Distributed index build over a generated corpus: one
     * [[HeuristicIndex.scan]] of the corpus, then one [[HeuristicIndex.merge]].
-    *
-    * @param maxCoverFrac heuristics covering more than this fraction of the
-    *   corpus are pruned from the index — they can never reach precision
-    *   0.8 on an imbalanced task and (paper §4.3) the oracle rejects them.
     */
-  def build(spark: SparkSession, corpus: Dataset[CorpusRow],
-            cfg: SketchConfig = SketchConfig(),
-            minCover: Option[Int] = None,
-            maxCoverFrac: Double = 0.2): HeuristicIndex =
-    merge(scan(corpus.rdd, cfg)(_ => ()), minCover, maxCoverFrac)
+  def build(spark: SparkSession, corpus: Dataset[CorpusRow]): HeuristicIndex =
+    merge(scan(corpus.rdd)(_ => ()))
 
   /** Parses each distinct text of each partition of ``corpus`` once, in
     * one Spark job, and returns one [[IndexPart]] per partition: its
@@ -152,7 +155,7 @@ object HeuristicIndex {
     * shuffle of (String, Array[Int]) would make Spark pick Kryo, which
     * fails on JVMs started without ``--add-opens``.
     */
-  private[repro] def scan[A: ClassTag](corpus: RDD[CorpusRow], cfg: SketchConfig)(
+  private[repro] def scan[A: ClassTag](corpus: RDD[CorpusRow])(
       perText: Parsed => A): Array[IndexPart[A]] =
     corpus.mapPartitions { rows =>
       val dict     = new SketchExtractor.Dictionary
@@ -169,7 +172,7 @@ object HeuristicIndex {
         val cls = classOf.getOrElseUpdate(row.text, {
           val c      = values.length
           val parsed = Pipeline.parse(row.text)
-          SketchExtractor.keys(parsed, cfg, dict) { key =>
+          SketchExtractor.keys(parsed, dict) { key =>
             var slot = slotOf.getOrElse(key, -1)
             if (slot < 0) {
               slot = keys.length
@@ -192,18 +195,17 @@ object HeuristicIndex {
   /** Merges the parts of a [[HeuristicIndex.scan]] once, on the driver.
     * Each part's slots are mapped to global pattern ids, and a pattern's
     * count is the sum of the sizes of the classes that emitted it. The
-    * patterns whose coverage lies in ``[minCover, maxCoverFrac·n]`` are
-    * kept; each kept list is allocated at its exact size and filled by
+    * patterns whose coverage lies in ``[defaultMinCover(n), MaxCoverFrac·n]``
+    * are kept; each kept list is allocated at its exact size and filled by
     * walking the rows in part order, so a pruned pattern never gets a
     * list. A list is sorted only if it is not already ascending, as it is
     * whenever each partition holds an ascending id range. ``n`` is the
     * parts' total row count.
     */
-  private[repro] def merge(parts: Iterable[IndexPart[_]], minCover: Option[Int],
-                           maxCoverFrac: Double): HeuristicIndex = {
+  private[repro] def merge(parts: Iterable[IndexPart[_]]): HeuristicIndex = {
     val total = parts.iterator.map(_.rows.toLong).sum
-    val minC  = minCover.getOrElse(defaultMinCover(total))
-    val maxC  = math.max(minC.toLong, (maxCoverFrac * total).toLong)
+    val minC  = defaultMinCover(total)
+    val maxC  = math.max(minC.toLong, (MaxCoverFrac * total).toLong)
 
     val gidOf    = mutable.HashMap.empty[String, Int]
     val patterns = mutable.ArrayBuffer.empty[String]
@@ -263,7 +265,7 @@ object HeuristicIndex {
     for (g <- patterns.indices if lists(g) != null) {
       val ids = lists(g)
       if (!ascending(ids)) java.util.Arrays.sort(ids)
-      entries += patterns(g) -> IndexEntry(patterns(g), ids.length, ids)
+      entries += patterns(g) -> IndexEntry(patterns(g), ids)
     }
     val kept = entries.result()
     assemble(total.toInt, kept,

@@ -24,11 +24,16 @@ object LabelModel {
       prior: Double,                 // π (class balance)
   )
 
+  /** EM iterations of [[fit]]. */
+  private val Iters = 25
+
+  /** A covered sentence is a de-noised positive at this posterior. */
+  private val MinPosterior = 0.5
+
   /** @param coverages inverted lists (sorted sentence ids) of each rule
     * @param n corpus size
     */
-  def fit(coverages: Vector[Array[Int]], n: Int,
-          iters: Int = 25, prior: Double = 0.5): Fit = {
+  def fit(coverages: Vector[Array[Int]], n: Int, prior: Double = 0.5): Fit = {
     val m = coverages.length
     require(m > 0, "need at least one labeling function")
 
@@ -52,7 +57,7 @@ object LabelModel {
 
     val logPrior = math.log(clamp(prior)) - math.log(clamp(1 - prior))
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       // E-step over covered sentences only (abstains carry no evidence)
       s = 0
       while (s < n) {
@@ -85,14 +90,13 @@ object LabelModel {
     Fit(q, a, prior)
   }
 
-  /** De-noised positive set: covered sentences with posterior ≥ threshold. */
-  def denoise(prep: PreparedCorpus, ruleCoverages: Vector[Array[Int]],
-              threshold: Double = 0.5): java.util.BitSet = {
+  /** De-noised positive set: covered sentences with posterior ≥ [[MinPosterior]]. */
+  def denoise(prep: PreparedCorpus, ruleCoverages: Vector[Array[Int]]): java.util.BitSet = {
     val fitted = fit(ruleCoverages, prep.n)
     val out    = new java.util.BitSet(prep.n)
     var i = 0
     while (i < prep.n) {
-      if (fitted.posterior(i) >= threshold) out.set(i)
+      if (fitted.posterior(i) >= MinPosterior) out.set(i)
       i += 1
     }
     out

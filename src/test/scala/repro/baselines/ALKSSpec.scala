@@ -9,7 +9,7 @@ class ALKSSpec extends SparkSpec {
   test("active learning improves F1 with budget") {
     val prep = TestCorpora.tweetsSmall(spark)
     val seeds = prep.positiveIds.take(2)
-    val res = ActiveLearning.run(prep, seeds, budget = 60, evalEvery = 20)
+    val res = ActiveLearning.run(prep, seeds, budget = 60)
     assert(res.steps.nonEmpty)
     val f1 = Metrics.ofModel(prep, res.model).f1
     assert(f1 > 0.1, s"AL f1=$f1")
@@ -17,14 +17,14 @@ class ALKSSpec extends SparkSpec {
 
   test("active learning respects the query budget") {
     val prep = TestCorpora.tweetsSmall(spark)
-    val res = ActiveLearning.run(prep, prep.positiveIds.take(2), budget = 25, evalEvery = 5)
+    val res = ActiveLearning.run(prep, prep.positiveIds.take(2), budget = 25)
     assert(res.steps.forall(_.queries <= 25))
   }
 
   test("AL steps are recorded at the eval cadence") {
     val prep = TestCorpora.tweetsSmall(spark)
-    val res = ActiveLearning.run(prep, prep.positiveIds.take(2), budget = 30, evalEvery = 10)
-    assert(res.steps.map(_.queries).forall(q => q % 10 == 0 || q == 30))
+    val res = ActiveLearning.run(prep, prep.positiveIds.take(2), budget = 30)
+    assert(res.steps.map(_.queries).forall(q => q % ActiveLearning.EvalEvery == 0 || q == 30))
   }
 
   test("keyword sampling builds a pool from the provided keywords") {

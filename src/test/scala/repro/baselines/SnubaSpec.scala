@@ -21,8 +21,8 @@ class SnubaSpec extends SparkSpec {
     for (r <- res.rules) {
       val hits = prep.index.ids(r).filter(labMap.contains)
       val pos = hits.count(labMap(_) == 1)
-      assert(pos.toDouble / hits.length >= 0.8, s"rule $r below floor")
-      assert(pos >= 2)
+      assert(pos.toDouble / hits.length >= Snuba.MinPrecision, s"rule $r below floor")
+      assert(pos >= Snuba.MinPositives)
     }
   }
 
@@ -72,7 +72,7 @@ class SnubaSpec extends SparkSpec {
 
   test("empty-evidence seed yields no rules") {
     val prep = TestCorpora.tweetsSmall(spark)
-    // all-negative labeled set (minPositives cannot be met)
+    // all-negative labeled set (MinPositives cannot be met)
     val negs = (0 until prep.n).filterNot(prep.gt.get).take(50)
       .map(i => (i, 0)).toArray
     val res = Snuba.run(prep, negs)

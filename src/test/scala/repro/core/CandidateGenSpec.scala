@@ -10,15 +10,15 @@ class CandidateGenSpec extends AnyFunSuite {
     *   G:x (6..9)  >  G:x y (6,7)
     */
   private val idx = HeuristicIndex.fromEntries(10, Map(
-    "G:a"     -> IndexEntry("G:a", 6, Array(0, 1, 2, 3, 4, 5)),
-    "G:a b"   -> IndexEntry("G:a b", 4, Array(0, 1, 2, 3)),
-    "G:a b c" -> IndexEntry("G:a b c", 2, Array(0, 1)),
-    "G:b"     -> IndexEntry("G:b", 4, Array(0, 1, 2, 3)),
-    "G:b c"   -> IndexEntry("G:b c", 2, Array(0, 1)),
-    "G:c"     -> IndexEntry("G:c", 2, Array(0, 1)),
-    "G:x"     -> IndexEntry("G:x", 4, Array(6, 7, 8, 9)),
-    "G:x y"   -> IndexEntry("G:x y", 2, Array(6, 7)),
-    "G:y"     -> IndexEntry("G:y", 2, Array(6, 7)),
+    "G:a"     -> IndexEntry("G:a", Array(0, 1, 2, 3, 4, 5)),
+    "G:a b"   -> IndexEntry("G:a b", Array(0, 1, 2, 3)),
+    "G:a b c" -> IndexEntry("G:a b c", Array(0, 1)),
+    "G:b"     -> IndexEntry("G:b", Array(0, 1, 2, 3)),
+    "G:b c"   -> IndexEntry("G:b c", Array(0, 1)),
+    "G:c"     -> IndexEntry("G:c", Array(0, 1)),
+    "G:x"     -> IndexEntry("G:x", Array(6, 7, 8, 9)),
+    "G:x y"   -> IndexEntry("G:x y", Array(6, 7)),
+    "G:y"     -> IndexEntry("G:y", Array(6, 7)),
   ))
 
   private def bits(is: Int*): java.util.BitSet = {

@@ -76,6 +76,36 @@ class DarwinSpec extends SparkSpec {
     "cause-effect" -> ((100, 4, "f3425e47a10485d7")),
     "professions"  -> ((100, 1, "a8daf6e788d03d01")))
 
+  private val allStrategies = Seq(Strategy.LocalSearch, Strategy.UniversalSearch, hs,
+                                  Strategy.HighP, Strategy.HighC)
+
+  private def jaccard(a: Array[Int], b: Array[Int]): Double = {
+    val (x, y) = (a.toSet, b.toSet)
+    val inter  = x.intersect(y).size
+    inter.toDouble / (x.size + y.size - inter)
+  }
+
+  test("no asked rule is a near-duplicate of an earlier asked rule, for every strategy") {
+    for ((spec, corpus) <- smallCorpora; st <- allStrategies) {
+      val prep  = corpus(spark)
+      val asked = runOn(prep, spec.seedRule, 100, st)._1.trace.map(e => prep.index.ids(e.rule))
+      for (i <- asked.indices; j <- 0 until i)
+        assert(jaccard(asked(i), asked(j)) < Darwin.MaxAskedJaccard,
+               s"${spec.name} ${st.label}: query ${i + 1} repeats query ${j + 1}")
+    }
+  }
+
+  test("P grows on every YES and stays put on every NO, for every strategy") {
+    for ((spec, corpus) <- smallCorpora; st <- allStrategies) {
+      val prep  = corpus(spark)
+      val trace = runOn(prep, spec.seedRule, 100, st)._1.trace
+      val sizes = prep.index.count(spec.seedRule) +: trace.map(_.pSize)
+      for ((e, before) <- trace.zip(sizes))
+        if (e.answer) assert(e.pSize > before, s"${spec.name} ${st.label}: YES on ${e.rule}")
+        else assert(e.pSize === before, s"${spec.name} ${st.label}: NO on ${e.rule}")
+    }
+  }
+
   test("golden trace: HS runFromPositives at budget 100 on tweets (small)") {
     val prep = TestCorpora.tweetsSmall(spark)
     val res = new Darwin(prep, new ExactOracle(prep.gt))
@@ -101,7 +131,7 @@ class DarwinSpec extends SparkSpec {
     val prep = TestCorpora.musiciansSmall(spark)
     val (res, oracle) = runOn(prep, "G:composer", 60, hs)
     for (r <- res.rules)
-      assert(oracle.precision(prep.index.ids(r)) >= 0.8, s"imprecise rule $r")
+      assert(oracle.precision(prep.index.ids(r)) >= RuleOracle.MinPrecision, s"imprecise rule $r")
   }
 
   test("P grows monotonically along the trace") {

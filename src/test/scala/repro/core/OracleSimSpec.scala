@@ -33,11 +33,6 @@ class OracleSimSpec extends AnyFunSuite {
     assert(oracle.precision(Array.empty) === 0.0)
   }
 
-  test("custom threshold is honored") {
-    val oracle = new ExactOracle(gtOf(Seq(0), 4), threshold = 0.5)
-    assert(oracle.query(Array(0, 1)) === true) // 1/2 >= 0.5
-  }
-
   test("sample oracle is deterministic given a seed") {
     val gt = gtOf(0 until 50, 100)
     val o1 = new SampleOracle(gt, seed = 3)

@@ -100,19 +100,6 @@ class SketchExtractorSpec extends AnyFunSuite {
       s"expected canonical C2(is, NOUN, job); got: ${pats.filter(_.startsWith("T:C2(t=is")).take(10).toSeq}")
   }
 
-  test("config disables tree patterns") {
-    val p    = Pipeline.parse("his job is a teacher")
-    val pats = SketchExtractor.patterns(p, SketchConfig(includeTree = false))
-    assert(pats.forall(_.startsWith("G:")))
-    assert(pats.nonEmpty)
-  }
-
-  test("config caps phrase length") {
-    val p    = Pipeline.parse("what is the best way to get there")
-    val pats = SketchExtractor.patterns(p, SketchConfig(maxPhraseLen = 2))
-    assert(pats.filter(_.startsWith("G:")).forall(_.count(_ == ' ') <= 1 + 1)) // "G:a b"
-  }
-
   test("patterns are distinct") {
     val p    = Pipeline.parse("is there a bart from the airport to the hotel")
     val pats = SketchExtractor.patterns(p)
@@ -120,12 +107,10 @@ class SketchExtractorSpec extends AnyFunSuite {
   }
 
   test("keyed enumeration decodes to the reference string sketches on all 5 datasets") {
-    val configs = Seq(SketchConfig(), SketchConfig(includeTree = false), SketchConfig(maxPhraseLen = 2))
     for (spec <- Datasets.all; id <- 0L until 2000L) {
       val p = Pipeline.parse(spec.sentence(id)._1)
-      for (cfg <- configs)
-        assert(SketchExtractor.patterns(p, cfg).toSet === ReferenceSketches.patterns(p, cfg).toSet,
-          s"${spec.name} sentence $id under $cfg")
+      assert(SketchExtractor.patterns(p).toSet === ReferenceSketches.patterns(p).toSet,
+        s"${spec.name} sentence $id")
     }
   }
 
@@ -133,7 +118,7 @@ class SketchExtractorSpec extends AnyFunSuite {
     val dict = new SketchExtractor.Dictionary
     for (p <- sentences(40)) {
       val keys = new scala.collection.mutable.ArrayBuilder.ofLong
-      SketchExtractor.keys(p, SketchConfig(), dict)(k => keys.addOne(k))
+      SketchExtractor.keys(p, dict)(k => keys.addOne(k))
       assert(keys.result().map(SketchExtractor.decode(_, dict)).toSet ===
         ReferenceSketches.patterns(p).toSet)
     }
@@ -142,11 +127,11 @@ class SketchExtractorSpec extends AnyFunSuite {
   test("dictionary overflow fails instead of colliding") {
     val p = Pipeline.parse("the storm caused damage")
     val e = intercept[IllegalArgumentException] {
-      SketchExtractor.keys(p, SketchConfig(), new SketchExtractor.Dictionary(3))(_ => ())
+      SketchExtractor.keys(p, new SketchExtractor.Dictionary(3))(_ => ())
     }
     assert(e.getMessage.contains("sketch dictionary overflow"))
     // a dictionary with room for every id enumerates the same sentence
-    SketchExtractor.keys(p, SketchConfig(), new SketchExtractor.Dictionary(1000))(_ => ())
+    SketchExtractor.keys(p, new SketchExtractor.Dictionary(1000))(_ => ())
   }
 
   test("pattern volume per sentence is bounded") {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestCorpora}
 import repro.core.PreparedCorpus
 import repro.data.{CorpusGen, CorpusRow, Datasets, DatasetSpec}
-import repro.grammar.{Heuristic, ReferenceSketches, SketchConfig, SketchExtractor}
+import repro.grammar.{Heuristic, ReferenceSketches, SketchExtractor}
 import repro.text.{Embeddings, Pipeline}
 
 class HeuristicIndexSpec extends SparkSpec {
@@ -30,7 +30,7 @@ class HeuristicIndexSpec extends SparkSpec {
   private def referenceEntries(spec: DatasetSpec, n: Long): Map[String, Vector[Int]] = {
     import spark.implicits._
     val minC = HeuristicIndex.defaultMinCover(n)
-    val maxC = math.max(minC.toLong, (0.2 * n).toLong)
+    val maxC = math.max(minC.toLong, (HeuristicIndex.MaxCoverFrac * n).toLong)
     CorpusGen.corpus(spark, spec, Some(n))
       .map(r => (r.id.toInt, ReferenceSketches.patterns(Pipeline.parse(r.text))))
       .toDF("sid", "patterns")
@@ -69,7 +69,7 @@ class HeuristicIndexSpec extends SparkSpec {
     val shuffled = corpus.repartition(7)
     // the shuffle hands each partition its ids out of order, so only the
     // merge's sort keeps the lists identical
-    val parts = HeuristicIndex.scan(shuffled.rdd, SketchConfig())(_ => ())
+    val parts = HeuristicIndex.scan(shuffled.rdd)(_ => ())
     assert(parts.length === 7)
     assert(parts.exists(part => !part.ids.sameElements(part.ids.sorted)))
     assert(built(shuffled) === asGenerated)
@@ -92,19 +92,24 @@ class HeuristicIndexSpec extends SparkSpec {
     }
   }
 
-  /** Rows in three partitions: texts repeated within and across
-    * partitions, one text under both labels, ids out of order and not
-    * contiguous within a partition (all of ``0 until n`` overall), and a
-    * last partition with no repeated text.
+  /** 25 rows of 10 texts in three partitions: texts repeated within and
+    * across partitions (texts 0–4 occur 6, 5, 3, 4 and 2 times), one text
+    * under both labels, ids out of order and not contiguous within a
+    * partition (all of ``0 until n`` overall), and a last partition with
+    * no repeated text. The default bounds at n = 25 are ``[4, 5]``, so
+    * the build keeps some patterns and prunes others as too rare and as
+    * too common.
     */
   private def handmadeRows(): Vector[Vector[CorpusRow]] = {
     val t = Iterator.from(0).map(i => Datasets.tweets.sentence(i.toLong)._1)
       .distinct.take(10).toVector
     def r(id: Int, text: Int, label: Int) = CorpusRow(id.toLong, t(text), label)
     Vector(
-      Vector(r(9, 0, 0), r(2, 1, 0), r(14, 0, 0), r(0, 2, 1), r(11, 1, 0), r(5, 0, 0)),
-      Vector(r(3, 1, 0), r(17, 3, 0), r(8, 3, 1), r(1, 0, 0), r(16, 1, 0)),
-      Vector(r(12, 4, 0), r(4, 2, 1), r(15, 5, 0), r(7, 6, 0), r(10, 7, 0), r(6, 8, 0),
+      Vector(r(5, 0, 0), r(22, 1, 0), r(14, 0, 0), r(6, 2, 1), r(23, 1, 0), r(15, 0, 0),
+             r(7, 3, 0), r(24, 0, 0), r(16, 1, 0), r(8, 0, 0)),
+      Vector(r(0, 1, 0), r(17, 3, 0), r(9, 3, 1), r(1, 0, 0), r(18, 1, 0), r(10, 2, 1),
+             r(2, 3, 0), r(19, 4, 0)),
+      Vector(r(11, 4, 0), r(3, 2, 1), r(20, 5, 0), r(12, 6, 0), r(4, 7, 0), r(21, 8, 0),
              r(13, 9, 1)),
     )
   }
@@ -114,19 +119,18 @@ class HeuristicIndexSpec extends SparkSpec {
     val rows   = parts.flatten
     val n      = rows.length
     val rdd    = spark.sparkContext.parallelize(parts, parts.length).flatMap(identity)
-    val (minC, maxFrac) = (2, 0.5)
-    val prepared =
-      PreparedCorpus.ofRows("handmade", rdd, minCover = Some(minC), maxCoverFrac = maxFrac)
+    val prepared = PreparedCorpus.ofRows("handmade", rdd)
     assert(prepared.n === n)
     assert(rows.map(_.id.toInt).sorted === (0 until n))
 
     val lists = rows
       .flatMap(row => ReferenceSketches.patterns(Pipeline.parse(row.text)).map(_ -> row.id.toInt))
       .groupMap(_._1)(_._2).view.mapValues(_.sorted).toMap
-    val maxC     = (maxFrac * n).toLong
-    val kept     = lists.filter { case (_, ids) => ids.length >= minC && ids.length <= maxC }
+    val minC = HeuristicIndex.defaultMinCover(n)
+    val maxC = math.max(minC.toLong, (HeuristicIndex.MaxCoverFrac * n).toLong)
+    val kept = lists.filter { case (_, ids) => ids.length >= minC && ids.length <= maxC }
+    assert(kept.nonEmpty && lists.exists(_._2.length < minC) && lists.exists(_._2.length > maxC))
     assert(idsByPattern(prepared.index) === kept)
-    for (e <- prepared.index.entries.values) assert(e.count === e.ids.length)
     assert(prepared.index.stats === IndexStats(
       rows = n,
       textsParsed = parts.map(_.map(_.text).distinct.length).sum,
@@ -152,8 +156,8 @@ class HeuristicIndexSpec extends SparkSpec {
       assert(shared === (x.text == y.text), s"${x.id} ${y.id}")
     }
     // the text under both labels is one class with two labels
-    assert(prepared.gt.get(8) && !prepared.gt.get(17))
-    assert(prepared.features(8) eq prepared.features(17))
+    assert(prepared.gt.get(9) && !prepared.gt.get(17))
+    assert(prepared.features(9) eq prepared.features(17))
   }
 
   test("prepare does not depend on how the corpus is partitioned (professions 4000)") {
@@ -212,11 +216,10 @@ class HeuristicIndexSpec extends SparkSpec {
 
   test("counts equal inverted list lengths and respect prune bounds") {
     val minC = HeuristicIndex.defaultMinCover(nSmall)
-    val maxC = (0.2 * nSmall).toLong
+    val maxC = (HeuristicIndex.MaxCoverFrac * nSmall).toLong
     for (e <- index.entries.values) {
-      assert(e.count === e.ids.length)
       assert(e.count >= minC, s"${e.pattern} below minCover")
-      assert(e.count <= maxC, s"${e.pattern} above maxCoverFrac")
+      assert(e.count <= maxC, s"${e.pattern} above MaxCoverFrac")
     }
   }
 
@@ -284,7 +287,7 @@ class HeuristicIndexSpec extends SparkSpec {
     val corpus = CorpusGen.corpus(spark, Datasets.tweets, Some(200L))
     val grams = corpus.flatMap { r =>
       val p = Pipeline.parse(r.text)
-      SketchExtractor.patterns(p, SketchConfig(includeTree = false)).map(g => (g, r.id))
+      SketchExtractor.patterns(p).filter(_.startsWith("G:")).map(g => (g, r.id))
     }.toDF("gram", "sid")
     val agg = grams.groupBy($"gram")
       .agg(count(lit(1)).cast("string") as "cnt")
@@ -297,9 +300,9 @@ class HeuristicIndexSpec extends SparkSpec {
 
   test("fromEntries on a handcrafted index builds expected adjacency") {
     val entries = Map(
-      "G:a"   -> IndexEntry("G:a", 3, Array(0, 1, 2)),
-      "G:a b" -> IndexEntry("G:a b", 2, Array(0, 1)),
-      "G:b"   -> IndexEntry("G:b", 2, Array(0, 1)),
+      "G:a"   -> IndexEntry("G:a", Array(0, 1, 2)),
+      "G:a b" -> IndexEntry("G:a b", Array(0, 1)),
+      "G:b"   -> IndexEntry("G:b", Array(0, 1)),
     )
     val idx = HeuristicIndex.fromEntries(3, entries)
     assert(idx.rootChildren.toSet === Set("G:a", "G:b"))
@@ -308,13 +311,6 @@ class HeuristicIndexSpec extends SparkSpec {
     assert(idx.parents("G:a b").toSet === Set("G:a", "G:b"))
     assert(idx.stats === IndexStats(rows = 3, textsParsed = 0, patternsEmitted = 0, postingsEmitted = 0L,
       patternsKept = 3, prunedLow = 0, prunedHigh = 0, postingsKept = 7L, longestList = 3))
-  }
-
-  test("index build respects a custom maxCoverFrac") {
-    val corpus = CorpusGen.corpus(spark, Datasets.tweets, Some(400L))
-    val idx = HeuristicIndex.build(spark, corpus, minCover = Some(3), maxCoverFrac = 0.05)
-    assert(idx.entries.values.forall(_.count <= 20))
-    assert(idx.entries.nonEmpty)
   }
 
   test("tree patterns appear in the index") {
