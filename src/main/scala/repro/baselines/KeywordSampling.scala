@@ -26,14 +26,8 @@ object KeywordSampling {
     val rng    = new SplitMix(Seed)
 
     // Pool = union of the keywords' (token-terminal) coverage sets.
-    val pool = {
-      val bs = new java.util.BitSet(prep.n)
-      keywords.foreach { w =>
-        prep.index.ids(Heuristic.TermPat(Term.Tok(w)).repr).foreach(bs.set)
-        prep.index.ids(Heuristic.Phrase(Vector(w)).repr).foreach(bs.set)
-      }
-      Classifier.bitsetIndices(bs)
-    }
+    val pool = Classifier.bitsetIndices(prep.index.cover(keywords.flatMap(w =>
+      Seq(Heuristic.TermPat(Term.Tok(w)).repr, Heuristic.Phrase(Vector(w)).repr))))
 
     val labeled = scala.collection.mutable.HashMap.empty[Int, Int]
     val steps   = Vector.newBuilder[Step]

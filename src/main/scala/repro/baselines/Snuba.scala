@@ -1,6 +1,8 @@
 package repro.baselines
 
 import repro.core.PreparedCorpus
+import repro.eval.Metrics
+import repro.index.HeuristicIndex
 import scala.collection.mutable
 
 /** Snuba baseline (paper §4.2; DESIGN.md substitution 6): automatically
@@ -29,53 +31,34 @@ object Snuba {
   /** @param labeled (sentenceId, groundTruthLabel) pairs — the seed subset */
   def run(prep: PreparedCorpus, labeled: Array[(Int, Int)],
           cfg: Config = Config()): Result = {
-    val labeledIds  = labeled.map(_._1).toSet
-    val labeledPos  = labeled.collect { case (i, 1) => i }.toSet
+    val labeledIds = new java.util.BitSet(prep.n)
+    val labeledPos = new java.util.BitSet(prep.n)
+    for ((i, y) <- labeled) { labeledIds.set(i); if (y == 1) labeledPos.set(i) }
+    val nLabeledPos = labeledPos.cardinality()
 
-    // Candidate stats on the labeled subset only (Snuba sees nothing else).
-    final case class Cand(rule: String, posHits: Set[Int], labHits: Set[Int]) {
-      def precision: Double = posHits.size.toDouble / labHits.size
-      def recall: Double =
-        if (labeledPos.isEmpty) 0.0 else posHits.size.toDouble / labeledPos.size
-      def f1: Double = {
-        val (p, r) = (precision, recall)
-        if (p + r == 0) 0.0 else 2 * p * r / (p + r)
-      }
+    // Candidate stats on the labeled subset only (Snuba sees nothing else):
+    // a rule's labeled hits, sorted, and how many of them are positive.
+    final case class Cand(rule: String, labHits: Array[Int], pos: Int) {
+      val f1: Double = Metrics.prf(pos, labHits.length - pos, nLabeledPos - pos).f1
     }
 
     val cands = prep.index.entries.valuesIterator.flatMap { e =>
-      val labHits = e.ids.iterator.filter(labeledIds).toSet
-      if (labHits.isEmpty) None
-      else {
-        val posHits = labHits.filter(labeledPos)
-        if (posHits.size >= MinPositives &&
-            posHits.size.toDouble / labHits.size >= MinPrecision)
-          Some(Cand(e.pattern, posHits, labHits))
-        else None
-      }
+      val labHits = e.ids.filter(labeledIds.get)
+      val pos     = HeuristicIndex.overlap(labHits, labeledPos)
+      Option.when(pos >= MinPositives && pos.toDouble / labHits.length >= MinPrecision)(
+        Cand(e.pattern, labHits, pos))
     }.toVector
 
-    def jaccard(a: Set[Int], b: Set[Int]): Double = {
-      val inter = a.intersect(b).size
-      val union = a.size + b.size - inter
-      if (union == 0) 0.0 else inter.toDouble / union
-    }
+    // Greedy by F1 under the diversity constraint. The selection only
+    // grows, so a candidate too similar to a selected rule stays so, and
+    // one pass in rank order selects what repeated first-fit searches would.
+    val selected = mutable.ArrayBuffer.empty[Cand]
+    for (c <- cands.sortBy(c => (-c.f1, -c.labHits.length, c.rule)))
+      if (selected.length < cfg.maxRules &&
+          selected.forall(s => HeuristicIndex.jaccard(s.labHits, c.labHits) <= cfg.maxJaccard))
+        selected += c
 
-    val selected  = mutable.ArrayBuffer.empty[Cand]
-    val remaining = mutable.ArrayBuffer.from(
-      cands.sortBy(c => (-c.f1, -c.labHits.size, c.rule)))
-    var done = false
-    while (!done && selected.length < cfg.maxRules && remaining.nonEmpty) {
-      remaining.find(c => selected.forall(s => jaccard(s.labHits, c.labHits) <= cfg.maxJaccard)) match {
-        case Some(best) =>
-          selected += best
-          remaining -= best
-        case None => done = true
-      }
-    }
-
-    val pos = new java.util.BitSet(prep.n)
-    selected.foreach(c => prep.index.ids(c.rule).foreach(pos.set))
-    Result(selected.map(_.rule).toVector, pos)
+    val rules = selected.map(_.rule).toVector
+    Result(rules, prep.index.cover(rules))
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.index.HeuristicIndex
 import scala.collection.mutable
 
 /** Hierarchy-traversal strategy (paper §3.3–3.6 and the §4.3 baselines). */
@@ -119,19 +120,9 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     // would give the same answer ("avoid having to evaluate many similar
     // candidate heuristics").
     val askedCoverages = mutable.ArrayBuffer.empty[Array[Int]]
-    def jaccard(a: Array[Int], b: Array[Int]): Double = {
-      var i = 0; var j = 0; var inter = 0
-      while (i < a.length && j < b.length) {
-        if (a(i) == b(j)) { inter += 1; i += 1; j += 1 }
-        else if (a(i) < b(j)) i += 1
-        else j += 1
-      }
-      val union = a.length + b.length - inter
-      if (union == 0) 0.0 else inter.toDouble / union
-    }
     def redundant(p: String): Boolean = {
       val ids = index.ids(p)
-      askedCoverages.exists(jaccard(ids, _) >= Darwin.MaxAskedJaccard)
+      askedCoverages.exists(HeuristicIndex.jaccard(ids, _) >= Darwin.MaxAskedJaccard)
     }
 
     def regen(): mutable.LinkedHashSet[String] =
@@ -159,7 +150,7 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
       p => (index.count(p).toDouble, 0.0)
 
     def accept(r: String): Unit = {
-      if (!R.contains(r)) R += r
+      R += r
       index.ids(r).foreach(P.set)
       retrain()
       statsCache.clear()

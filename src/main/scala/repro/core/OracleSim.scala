@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.data.SplitMix
+import repro.index.HeuristicIndex
 
 /** Oracle abstraction (paper §2 Def. 4). Given a heuristic's coverage set,
   * answers whether the heuristic is adequately precise.
@@ -28,7 +29,7 @@ final class ExactOracle(gt: java.util.BitSet) extends RuleOracle {
 
   def precision(coverage: Array[Int]): Double =
     if (coverage.isEmpty) 0.0
-    else coverage.count(gt.get).toDouble / coverage.length
+    else HeuristicIndex.overlap(coverage, gt).toDouble / coverage.length
 
   def query(coverage: Array[Int]): Boolean = {
     q += 1

@@ -29,20 +29,20 @@ final class PreparedCorpus(
   val nPos: Int = gt.cardinality()
 
   /** Recall of a discovered positive set: |P ∩ GT| / |GT|. */
-  def recall(p: java.util.BitSet): Double = {
-    if (nPos == 0) return 0.0
-    val both = p.clone().asInstanceOf[java.util.BitSet]
-    both.and(gt)
-    both.cardinality().toDouble / nPos
-  }
+  def recall(p: java.util.BitSet): Double =
+    if (nPos == 0) 0.0 else truePositives(p).toDouble / nPos
 
   /** Fraction of P that is truly positive. */
   def precisionOf(p: java.util.BitSet): Double = {
     val c = p.cardinality()
-    if (c == 0) return 0.0
+    if (c == 0) 0.0 else truePositives(p).toDouble / c
+  }
+
+  /** |P ∩ GT|. */
+  private def truePositives(p: java.util.BitSet): Int = {
     val both = p.clone().asInstanceOf[java.util.BitSet]
     both.and(gt)
-    both.cardinality().toDouble / c
+    both.cardinality()
   }
 
   /** Ground-truth positive ids (for seed-sampling experiments). */

@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 
 /** One generated sentence with its hidden ground-truth label (used only by
   * the oracle simulation and final evaluation, never by Darwin itself).
@@ -187,7 +187,7 @@ object Datasets {
 object CorpusGen {
 
   /** The corpus as a typed Dataset, for consumers that run Spark SQL on it
-    * (rule application, label stats, the DuckDB cross-checks).
+    * (rule application, the DuckDB cross-checks).
     */
   def corpus(spark: SparkSession, spec: DatasetSpec,
              nOverride: Option[Long] = None): Dataset[CorpusRow] = {
@@ -208,12 +208,5 @@ object CorpusGen {
   private def row(spec: DatasetSpec, id: Long): CorpusRow = {
     val (text, label) = spec.sentence(id)
     CorpusRow(id, text, label)
-  }
-
-  /** Ground-truth label stats (used by the Table 1 job/bench). */
-  def stats(df: DataFrame): (Long, Double) = {
-    import org.apache.spark.sql.functions._
-    val row = df.agg(count(lit(1)) as "n", avg(col("label")) as "posRate").head()
-    (row.getLong(0), row.getDouble(1))
   }
 }

@@ -21,13 +21,18 @@ object Experiments {
 
   // ---------------------------------------------------------------- corpora
 
+  /** Spark SQL's shuffle partitions. No job shuffles; only the test
+    * suites' Spark SQL references (the DuckDB cross-checks) do, on small
+    * inputs.
+    */
+  private val ShufflePartitions = 64
+
   /** The local SparkSession of the jobs and the test suites. */
   def session(app: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", ShufflePartitions)
       .config("spark.ui.enabled", false)
       .getOrCreate()
 
@@ -67,10 +72,14 @@ object Experiments {
   final case class DatasetStats(name: String, sentences: Long,
                                 pctPositives: Double, labeling: String)
 
-  /** Size and positive rate of the generated corpus, counted by Spark. */
+  /** Size and positive rate of the generated corpus, counted by Spark in
+    * one pass over [[CorpusGen.rows]].
+    */
   def table1Row(spark: SparkSession, spec: DatasetSpec, n: Long): DatasetStats = {
-    val (count, rate) = CorpusGen.stats(CorpusGen.corpus(spark, spec, Some(n)).toDF())
-    DatasetStats(spec.name, count, 100 * rate, spec.labeling)
+    val (count, positives) = CorpusGen.rows(spark, spec, n).aggregate((0L, 0L))(
+      (acc, row) => (acc._1 + 1, acc._2 + row.label),
+      (a, b) => (a._1 + b._1, a._2 + b._2))
+    DatasetStats(spec.name, count, 100 * (positives.toDouble / count), spec.labeling)
   }
 
   /** Table 1: dataset statistics of all five corpora. */
@@ -127,19 +136,13 @@ object Experiments {
     */
   def sampleSeed(prep: PreparedCorpus, size: Int, seed: Long,
                  excludeToken: Option[String] = None): Array[(Int, Int)] = {
-    val excluded: Int => Boolean = excludeToken match {
-      case Some(w) =>
-        val bs = new java.util.BitSet(prep.n)
-        prep.index.ids(Heuristic.TermPat(Term.Tok(w)).repr).foreach(bs.set)
-        bs.get _
-      case None => _ => false
-    }
+    val excluded = prep.index.cover(excludeToken.map(w => Heuristic.TermPat(Term.Tok(w)).repr))
     val rng  = new SplitMix(seed)
     val pick = scala.collection.mutable.LinkedHashMap.empty[Int, Int]
     var tries = 0
     while (pick.size < size && tries < 100 * size + 1000) {
       val i = rng.nextInt(prep.n)
-      if (!excluded(i) && !pick.contains(i)) pick(i) = if (prep.gt.get(i)) 1 else 0
+      if (!excluded.get(i) && !pick.contains(i)) pick(i) = if (prep.gt.get(i)) 1 else 0
       tries += 1
     }
     // guarantee >= 2 positive instances
@@ -147,7 +150,7 @@ object Experiments {
     tries = 0
     while (nPos < 2 && tries < 100000) {
       val i = prep.positiveIds(rng.nextInt(prep.positiveIds.length))
-      if (!excluded(i) && !pick.contains(i)) { pick(i) = 1; nPos += 1 }
+      if (!excluded.get(i) && !pick.contains(i)) { pick(i) = 1; nPos += 1 }
       tries += 1
     }
     pick.toArray
@@ -207,19 +210,16 @@ object Experiments {
   def strategySweep(prep: PreparedCorpus, seedRule: String, budget: Int,
                     strategies: Seq[Strategy] = Seq(
                       Strategy.LocalSearch, Strategy.UniversalSearch,
-                      Strategy.HybridSearch(), Strategy.HighP)): Vector[StrategyRun] =
+                      Strategy.HybridSearch(), Strategy.HighP)): Vector[StrategyRun] = {
+    val seedRecall = prep.recall(prep.index.cover(Seq(seedRule)))
     strategies.toVector.map { st =>
       val res = runDarwin(prep, seedRule, budget, st)
-      val seedRecall = {
-        val bs = new java.util.BitSet(prep.n)
-        prep.index.ids(seedRule).foreach(bs.set)
-        prep.recall(bs)
-      }
       StrategyRun(st.label, prep.recall(res.positives),
                   res.recallCurve(seedRecall),
                   Metrics.classifierF1(prep, res.positives).f1,
                   res.rules.length)
     }
+  }
 
   /** Fig. 9 (a–d): coverage after b queries of LS, US, HS and HighP at
     * budget 150, on cause-effect, musicians, directions and tweets.
@@ -291,11 +291,7 @@ object Experiments {
     val n    = c.sizeOf(spec)
     val (prep, tPrep) = timed(PreparedCorpus.prepare(c.spark, spec, Some(n)))
     val (res, tLoop)  = timed(runDarwin(prep, spec.seedRule, budget = 100, Strategy.HybridSearch()))
-    val (nWeak, tLabel) = timed {
-      val weak = new java.util.BitSet(prep.n)
-      res.rules.foreach(r => prep.index.ids(r).foreach(weak.set))
-      weak.cardinality().toLong
-    }
+    val (nWeak, tLabel) = timed(prep.index.cover(res.rules).cardinality().toLong)
     val (f1, tTrain) = timed(Metrics.classifierF1(prep, res.positives).f1)
     val run = EfficiencyRun(tPrep, tLoop, tLabel, tTrain, prep.recall(res.positives), nWeak, f1,
                             res.rules)
@@ -313,8 +309,6 @@ object Experiments {
   }
 
   // ---------------------------------------------------------------- rendering
-
-  def fmtPct(x: Double): String = f"${100 * x}%.1f%%"
 
   def renderTable(header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all    = header +: rows

@@ -100,10 +100,15 @@ final class HeuristicIndex(
   def parents(p: String): Vector[String] = parentsMap.getOrElse(p, Vector.empty)
 
   /** |C_p ∩ P| for a driver-side positive set. */
-  def posCount(p: String, pos: java.util.BitSet): Int = {
-    val a = ids(p); var c = 0; var i = 0
-    while (i < a.length) { if (pos.get(a(i))) c += 1; i += 1 }
-    c
+  def posCount(p: String, pos: java.util.BitSet): Int = HeuristicIndex.overlap(ids(p), pos)
+
+  /** ∪ C_p over ``patterns``, as a set of sentence ids (a pattern that is
+    * not indexed covers nothing).
+    */
+  def cover(patterns: Iterable[String]): java.util.BitSet = {
+    val bits = new java.util.BitSet(n)
+    patterns.foreach(p => ids(p).foreach(bits.set))
+    bits
   }
 }
 
@@ -123,6 +128,27 @@ object HeuristicIndex {
     * task and (paper §4.3) the oracle rejects them.
     */
   val MaxCoverFrac = 0.2
+
+  /** |ids ∩ bits|. */
+  def overlap(ids: Array[Int], bits: java.util.BitSet): Int = {
+    var c = 0; var i = 0
+    while (i < ids.length) { if (bits.get(ids(i))) c += 1; i += 1 }
+    c
+  }
+
+  /** Jaccard similarity |a ∩ b| / |a ∪ b| of two sorted id lists (0 for
+    * two empty lists).
+    */
+  def jaccard(a: Array[Int], b: Array[Int]): Double = {
+    var i = 0; var j = 0; var inter = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { inter += 1; i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    val union = a.length + b.length - inter
+    if (union == 0) 0.0 else inter.toDouble / union
+  }
 
   /** Distributed index build over a generated corpus: one
     * [[HeuristicIndex.scan]] of the corpus, then one [[HeuristicIndex.merge]].

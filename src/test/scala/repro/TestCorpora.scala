@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import repro.core.PreparedCorpus
+import repro.core.{Model, PreparedCorpus}
 import repro.data.{DatasetSpec, Datasets}
 
 /** Shared cache of prepared corpora for the test run (one JVM, sequential
@@ -25,4 +25,27 @@ object TestCorpora {
     prepared(spark, Datasets.causeEffect, 1500L)
   def professionsSmall(spark: SparkSession): PreparedCorpus =
     prepared(spark, Datasets.professions, 4000L)
+
+  /** The five small corpora, with their specs, as the golden tests run them. */
+  val small: Seq[(DatasetSpec, SparkSession => PreparedCorpus)] = Seq(
+    Datasets.tweets      -> tweetsSmall,
+    Datasets.directions  -> directionsSmall,
+    Datasets.musicians   -> musiciansSmall,
+    Datasets.causeEffect -> causeEffectSmall,
+    Datasets.professions -> professionsSmall,
+  )
+
+  /** The first 8 bytes, in hex, of the SHA-256 of what ``feed`` writes. */
+  def digest(feed: java.security.MessageDigest => Unit): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    feed(md)
+    md.digest().take(8).map("%02x".format(_)).mkString
+  }
+
+  /** A model's weights, then its bias, as big-endian doubles. */
+  def modelBits(m: Model): Array[Byte] = {
+    val bits = java.nio.ByteBuffer.allocate(8 * (m.w.length + 1))
+    m.w.foreach(bits.putDouble)
+    bits.putDouble(m.b).array()
+  }
 }

@@ -35,6 +35,35 @@ class ALKSSpec extends SparkSpec {
     assert(f1 > 0.1, s"KS f1=$f1")
   }
 
+  // Golden runs: keyword sampling at budget 60 on the five small corpora,
+  // each pinned as (pool size, steps, digest of the final model's bits).
+  test("golden runs: keyword sampling at budget 60 on the small corpora") {
+    val got = TestCorpora.small.map { case (spec, corpus) =>
+      val res = KeywordSampling.run(corpus(spark), spec.keywords, 60)
+      spec.name -> ((res.poolSize, res.steps.map(s => (s.queries, s.f1)),
+                     TestCorpora.digest(_.update(TestCorpora.modelBits(res.model)))))
+    }
+    assert(got === Seq(
+      "tweets" -> ((74, Vector(
+        10 -> 0.8941176470588235, 20 -> 0.8791208791208791, 30 -> 0.9238578680203046,
+        40 -> 0.8785046728971964, 50 -> 0.9591836734693878, 60 -> 1.0), "6328c975c5492e1e")),
+      "directions" -> ((589, Vector(
+        10 -> 0.5568627450980392, 20 -> 0.43820224719101125, 30 -> 0.37176470588235294,
+        40 -> 0.4854368932038834, 50 -> 0.5015873015873016, 60 -> 0.4968152866242038),
+        "85e250517c78e383")),
+      "musicians" -> ((269, Vector(
+        10 -> 0.76536312849162, 20 -> 0.7435897435897435, 30 -> 0.6846153846153847,
+        40 -> 0.8701923076923077, 50 -> 0.860411899313501, 60 -> 0.8558352402745995),
+        "e799a3453f22d914")),
+      "cause-effect" -> ((414, Vector(
+        10 -> 0.812933025404157, 20 -> 0.6861313868613139, 30 -> 0.860411899313501,
+        40 -> 0.9082125603864734, 50 -> 0.8148148148148149, 60 -> 0.8558352402745995),
+        "b7ed5581549995a2")),
+      "professions" -> ((40, Vector(
+        10 -> 0.29343629343629346, 20 -> 0.3190661478599222, 30 -> 0.34400000000000003,
+        40 -> 0.4195121951219512), "f4dde6712a63e93c"))))
+  }
+
   test("keyword sampling with unknown keywords yields an empty pool") {
     val prep = TestCorpora.tweetsSmall(spark)
     val res = KeywordSampling.run(prep, Seq("qqq", "zzz"), budget = 10)

@@ -5,6 +5,40 @@ import repro.eval.Experiments
 
 class SnubaSpec extends SparkSpec {
 
+  // Golden selections: Snuba on the five small corpora from random seeds of
+  // 25 and 200 labeled sentences, and from biased ones where the dataset
+  // has a bias token, each pinned as (rules, digest of the rules in order,
+  // positives). Any change to which rules are selected shows up here.
+  test("golden selections: Snuba from seeds of 25 and 200 on the small corpora") {
+    val got = for {
+      (spec, corpus) <- TestCorpora.small
+      bias           <- None +: spec.biasToken.toSeq.map(Some(_))
+      size           <- Seq(25, 200)
+    } yield {
+      val prep = corpus(spark)
+      val res  = Snuba.run(prep, Experiments.sampleSeed(prep, size, 101L + size, bias))
+      s"${spec.name} ${bias.fold("random")(_ => "biased")} $size" ->
+        ((res.rules.length,
+          TestCorpora.digest(md => res.rules.foreach(r => md.update(s"$r\n".getBytes("UTF-8")))),
+          res.positives.cardinality()))
+    }
+    assert(got === Seq(
+      "tweets random 25"        -> ((0, "e3b0c44298fc1c14", 0)),
+      "tweets random 200"       -> ((16, "b0c2278b7037eb62", 93)),
+      "directions random 25"    -> ((0, "e3b0c44298fc1c14", 0)),
+      "directions random 200"   -> ((3, "bfb29dcee6e797c0", 43)),
+      "directions biased 25"    -> ((0, "e3b0c44298fc1c14", 0)),
+      "directions biased 200"   -> ((2, "e84cbac331ad3e06", 30)),
+      "musicians random 25"     -> ((0, "e3b0c44298fc1c14", 0)),
+      "musicians random 200"    -> ((10, "891984a9d06a8042", 127)),
+      "musicians biased 25"     -> ((0, "e3b0c44298fc1c14", 0)),
+      "musicians biased 200"    -> ((10, "891984a9d06a8042", 127)),
+      "cause-effect random 25"  -> ((1, "e7ac6de0d0cd19fa", 22)),
+      "cause-effect random 200" -> ((7, "c0c5aa4a2b91c0ba", 218)),
+      "professions random 25"   -> ((1, "8a7570bf3069040a", 24)),
+      "professions random 200"  -> ((0, "e3b0c44298fc1c14", 0))))
+  }
+
   test("with a large labeled sample Snuba finds precise evidenced rules") {
     val prep = TestCorpora.tweetsSmall(spark)
     val labeled = Experiments.sampleSeed(prep, 300, 1)

@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.{SparkSpec, TestCorpora}
-import repro.data.{DatasetSpec, Datasets}
+import repro.data.Datasets
 
 class DarwinSpec extends SparkSpec {
 
@@ -18,28 +17,16 @@ class DarwinSpec extends SparkSpec {
   // each pinned as (queries, rules, digest of the (rule, answer, pSize)
   // trace and the final model bits). Any change to which rule is asked
   // when, or to the retrain sequence, shows up here.
-  private val smallCorpora: Seq[(DatasetSpec, SparkSession => PreparedCorpus)] = Seq(
-    Datasets.tweets      -> TestCorpora.tweetsSmall,
-    Datasets.directions  -> TestCorpora.directionsSmall,
-    Datasets.musicians   -> TestCorpora.musiciansSmall,
-    Datasets.causeEffect -> TestCorpora.causeEffectSmall,
-    Datasets.professions -> TestCorpora.professionsSmall,
-  )
-
-  private def fingerprint(res: DarwinResult): (Int, Int, String) = {
-    val md = java.security.MessageDigest.getInstance("SHA-256")
-    for (e <- res.trace)
-      md.update(s"${e.rule}\u0000${e.answer}\u0000${e.pSize}\n".getBytes("UTF-8"))
-    val bits = java.nio.ByteBuffer.allocate(8 * (res.model.w.length + 1))
-    res.model.w.foreach(bits.putDouble)
-    bits.putDouble(res.model.b)
-    md.update(bits.array())
-    (res.queries, res.rules.length, md.digest().take(8).map("%02x".format(_)).mkString)
-  }
+  private def fingerprint(res: DarwinResult): (Int, Int, String) =
+    (res.queries, res.rules.length, TestCorpora.digest { md =>
+      for (e <- res.trace)
+        md.update(s"${e.rule}\u0000${e.answer}\u0000${e.pSize}\n".getBytes("UTF-8"))
+      md.update(TestCorpora.modelBits(res.model))
+    })
 
   private def golden(st: Strategy, expected: (String, (Int, Int, String))*): Unit =
     test(s"golden trace: ${st.label} at budget 100 on the small corpora") {
-      val got = smallCorpora.map { case (spec, corpus) =>
+      val got = TestCorpora.small.map { case (spec, corpus) =>
         spec.name -> fingerprint(runOn(corpus(spark), spec.seedRule, 100, st)._1)
       }
       assert(got === expected)
@@ -86,7 +73,7 @@ class DarwinSpec extends SparkSpec {
   }
 
   test("no asked rule is a near-duplicate of an earlier asked rule, for every strategy") {
-    for ((spec, corpus) <- smallCorpora; st <- allStrategies) {
+    for ((spec, corpus) <- TestCorpora.small; st <- allStrategies) {
       val prep  = corpus(spark)
       val asked = runOn(prep, spec.seedRule, 100, st)._1.trace.map(e => prep.index.ids(e.rule))
       for (i <- asked.indices; j <- 0 until i)
@@ -96,7 +83,7 @@ class DarwinSpec extends SparkSpec {
   }
 
   test("P grows on every YES and stays put on every NO, for every strategy") {
-    for ((spec, corpus) <- smallCorpora; st <- allStrategies) {
+    for ((spec, corpus) <- TestCorpora.small; st <- allStrategies) {
       val prep  = corpus(spark)
       val trace = runOn(prep, spec.seedRule, 100, st)._1.trace
       val sizes = prep.index.count(spec.seedRule) +: trace.map(_.pSize)

@@ -147,13 +147,6 @@ class CorpusGenSpec extends SparkSpec {
       "corpus" -> df)
   }
 
-  test("CorpusGen.stats returns count and positive rate") {
-    val df = CorpusGen.corpus(spark, Datasets.causeEffect, Some(1000L)).toDF()
-    val (n, rate) = CorpusGen.stats(df)
-    assert(n === 1000L)
-    assert(rate > 0.05 && rate < 0.25)
-  }
-
   test("SplitMix nextInt respects bounds and nextDouble in [0,1)") {
     val rng = new SplitMix(7)
     for (_ <- 0 until 1000) {

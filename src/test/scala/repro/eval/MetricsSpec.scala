@@ -37,8 +37,4 @@ class MetricsSpec extends AnyFunSuite {
     assert(lines.length === 4)
     assert(lines.map(_.length).distinct.length === 1)
   }
-
-  test("fmtPct formats fractions") {
-    assert(Experiments.fmtPct(0.123) === "12.3%")
-  }
 }

@@ -266,6 +266,15 @@ class HeuristicIndexSpec extends SparkSpec {
     index.ids(p).take(5).foreach(bs.set)
     assert(index.posCount(p, bs) === math.min(5, index.count(p)))
     assert(index.posCount(p, new java.util.BitSet(prep.n)) === 0)
+    // the union and the Jaccard that every caller shares, against Set
+    // arithmetic, on a rule and one of its children
+    val r = index.entries.keysIterator.filter(index.children(_).nonEmpty).maxBy(index.count)
+    val c = index.children(r).head
+    val (x, y) = (index.ids(r).toSet, index.ids(c).toSet)
+    assert(HeuristicIndex.jaccard(index.ids(r), index.ids(c)) ===
+             (x & y).size.toDouble / (x | y).size)
+    assert(HeuristicIndex.jaccard(Array.empty, Array.empty) === 0.0)
+    assert(index.cover(Seq(c, "G:not indexed", r)).stream().toArray.toSet === (x | y))
   }
 
   test("defaultMinCover is max(2, ceil(log n))") {
