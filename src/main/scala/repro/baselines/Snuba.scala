@@ -37,16 +37,15 @@ object Snuba {
     val nLabeledPos = labeledPos.cardinality()
 
     // Candidate stats on the labeled subset only (Snuba sees nothing else):
-    // a rule's labeled hits, sorted, and how many of them are positive.
-    final case class Cand(rule: String, labHits: Array[Int], pos: Int) {
-      val f1: Double = Metrics.prf(pos, labHits.length - pos, nLabeledPos - pos).f1
-    }
+    // a rule's labeled hits, sorted, and their P/R/F1 against the labels.
+    final case class Cand(rule: String, labHits: Array[Int], f1: Double)
 
     val cands = prep.index.entries.valuesIterator.flatMap { e =>
       val labHits = e.ids.filter(labeledIds.get)
       val pos     = HeuristicIndex.overlap(labHits, labeledPos)
-      Option.when(pos >= MinPositives && pos.toDouble / labHits.length >= MinPrecision)(
-        Cand(e.pattern, labHits, pos))
+      val score   = Metrics.prf(pos, labHits.length - pos, nLabeledPos - pos)
+      Option.when(pos >= MinPositives && score.precision >= MinPrecision)(
+        Cand(e.pattern, labHits, score.f1))
     }.toVector
 
     // Greedy by F1 under the diversity constraint. The selection only
