@@ -38,14 +38,16 @@ object Snuba {
 
     // Candidate stats on the labeled subset only (Snuba sees nothing else):
     // a rule's labeled hits, sorted, and their P/R/F1 against the labels.
-    final case class Cand(rule: String, labHits: Array[Int], f1: Double)
+    // A rule is its pattern number, so ties in rank go to the smaller repr.
+    final case class Cand(rule: Int, labHits: Array[Int], f1: Double)
 
-    val cands = prep.index.entries.valuesIterator.flatMap { e =>
-      val labHits = e.ids.filter(labeledIds.get)
+    val index = prep.index
+    val cands = (0 until index.size).iterator.flatMap { g =>
+      val labHits = index.postings(g).filter(labeledIds.get)
       val pos     = HeuristicIndex.overlap(labHits, labeledPos)
       val score   = Metrics.prf(pos, labHits.length - pos, nLabeledPos - pos)
       Option.when(pos >= MinPositives && score.precision >= MinPrecision)(
-        Cand(e.pattern, labHits, score.f1))
+        Cand(g, labHits, score.f1))
     }.toVector
 
     // Greedy by F1 under the diversity constraint. The selection only
@@ -57,7 +59,7 @@ object Snuba {
           selected.forall(s => HeuristicIndex.jaccard(s.labHits, c.labHits) <= cfg.maxJaccard))
         selected += c
 
-    val rules = selected.map(_.rule).toVector
-    Result(rules, prep.index.cover(rules))
+    val rules = selected.map(c => index.patterns(c.rule)).toVector
+    Result(rules, index.cover(rules))
   }
 }

@@ -6,36 +6,35 @@ import scala.collection.mutable
 /** Candidate-heuristic generation (paper Algorithm 2): greedy best-first
   * expansion of the index from the virtual root '*', repeatedly taking the
   * candidate with the highest coverage over the discovered positives P and
-  * adding its index children to the pool.
+  * adding its index children to the pool. Candidates are pattern numbers.
   */
 object CandidateGen {
 
-  /** @return up to ``k`` candidate heuristic reprs, in selection order. */
-  def generate(index: HeuristicIndex, pos: java.util.BitSet, k: Int): Vector[String] = {
-    // Max-heap on (coverage over P, total coverage, repr) — ties broken
+  /** @return up to ``k`` candidate pattern numbers, in selection order. */
+  def generate(index: HeuristicIndex, pos: java.util.BitSet, k: Int): Array[Int] = {
+    // Max-heap on (coverage over P, total coverage, number) — ties broken
     // toward higher total coverage (more generic first, as in the paper's
-    // "most generic functions at the top"), then lexicographically for
-    // determinism.
-    final case class Cand(repr: String, posCount: Int, count: Int)
-    implicit val ord: Ordering[Cand] =
-      Ordering.by((c: Cand) => (c.posCount, c.count, c.repr))
+    // "most generic functions at the top"), then by number, which is
+    // lexicographic order, for determinism.
+    val posCount = new Array[Int](index.size)
+    val heap     = mutable.PriorityQueue.empty[Int](
+      Ordering.by((g: Int) => (posCount(g), index.postings(g).length, g)))
+    val seen     = new java.util.BitSet(index.size)
+    val result   = new mutable.ArrayBuilder.ofInt
 
-    val heap    = mutable.PriorityQueue.empty[Cand]
-    val seen    = mutable.HashSet.empty[String]
-    val result  = Vector.newBuilder[String]
-    var nTaken  = 0
+    def push(g: Int): Unit =
+      if (!seen.get(g)) {
+        seen.set(g)
+        posCount(g) = index.posCount(g, pos)
+        heap.enqueue(g)
+      }
 
-    def push(p: String): Unit =
-      if (seen.add(p))
-        heap.enqueue(Cand(p, index.posCount(p, pos), index.count(p)))
+    index.roots.foreach(push)
 
-    index.children(HeuristicIndex.Root).foreach(push)
-
-    while (nTaken < k && heap.nonEmpty) {
+    while (result.length < k && heap.nonEmpty) {
       val best = heap.dequeue()
-      result += best.repr
-      nTaken += 1
-      index.children(best.repr).foreach(push)
+      result.addOne(best)
+      index.childrenOf(best).foreach(push)
     }
     result.result()
   }
@@ -44,6 +43,6 @@ object CandidateGen {
     * no sentence beyond the already-discovered positives (C_r ⊆ P).
     */
   def cleanup(index: HeuristicIndex, pos: java.util.BitSet,
-              candidates: Vector[String]): Vector[String] =
-    candidates.filter(p => index.posCount(p, pos) < index.count(p))
+              candidates: Array[Int]): Array[Int] =
+    candidates.filter(g => index.posCount(g, pos) < index.postings(g).length)
 }

@@ -24,8 +24,7 @@ object Classifier {
     *   corpus draws, so a positive-rate fraction of them is mislabeled
     *   (§3.3 samples negatives "from the corpus"); a weight < 1 keeps that
     *   label noise from suppressing not-yet-discovered positive families.
-    */
-  /** @param posWeight positive-class weight; None = balance classes
+    * @param posWeight positive-class weight; None = balance classes
     *   (|neg|/|pos|), which biases the 0.5 boundary toward recall — right
     *   for the in-loop benefit scorer, wrong for the final classifier.
     */

@@ -63,9 +63,9 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     * support within the index bounds).
     */
   def run(seedRule: String, budget: Int, strategy: Strategy): DarwinResult = {
-    require(prep.index.contains(seedRule),
-            s"seed rule '$seedRule' not in index for ${prep.name}")
-    runLoop(Some(seedRule), prep.index.ids(seedRule), budget, strategy)
+    val seed = prep.index.id(seedRule)
+    require(seed >= 0, s"seed rule '$seedRule' not in index for ${prep.name}")
+    runLoop(Some(seed), prep.index.postings(seed), budget, strategy)
   }
 
   /** Run from a couple of labeled positive sentences instead of a rule. */
@@ -74,17 +74,19 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
 
   // ------------------------------------------------------------------
 
-  private def runLoop(seedRule: Option[String], seedIds: Array[Int],
+  // Rules are pattern numbers of the index (HeuristicIndex.patterns); the
+  // result and the trace name them by repr.
+  private def runLoop(seedRule: Option[Int], seedIds: Array[Int],
                       budget: Int, strategy: Strategy): DarwinResult = {
     val index = prep.index
     val n     = prep.n
 
     val P = new java.util.BitSet(n)
     seedIds.foreach(P.set)
-    val R     = mutable.ArrayBuffer.empty[String]
+    val R     = mutable.ArrayBuffer.empty[Int]
     seedRule.foreach(R += _)
-    val asked = mutable.HashSet.empty[String]
-    seedRule.foreach(asked += _) // the seed is pre-verified; never re-ask
+    val asked = new java.util.BitSet(index.size)
+    seedRule.foreach(asked.set) // the seed is pre-verified; never re-ask
     val trace = Vector.newBuilder[QueryEvent]
 
     var retrains = 0
@@ -98,21 +100,24 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     }
     retrain()
 
-    // benefit(r) = Σ_{s ∈ C_r \ P} p_s  (§3.3). Memoized: P and the scores
-    // only change on an accepted rule (the cache is cleared there), while
-    // pick() re-evaluates the whole pool every iteration.
-    val statsCache = mutable.HashMap.empty[String, (Double, Int)]
-    def stats(p: String): (Double, Int) = statsCache.getOrElseUpdate(p, {
-      val ids = index.ids(p)
-      var benefit = 0.0; var fresh = 0; var i = 0
+    // benefit(r) = Σ_{s ∈ C_r \ P} p_s  (§3.3), and fresh(r) = |C_r \ P|.
+    // Memoized: P and the scores only change on an accepted rule (`known`
+    // is cleared there), while pick() re-evaluates the whole pool every
+    // iteration.
+    val benefit = new Array[Double](index.size)
+    val fresh   = new Array[Int](index.size)
+    val known   = new java.util.BitSet(index.size)
+    def stats(g: Int): Unit = if (!known.get(g)) {
+      val ids = index.postings(g)
+      var b = 0.0; var f = 0; var i = 0
       while (i < ids.length) {
-        if (!P.get(ids(i))) { benefit += scores(ids(i)); fresh += 1 }
+        if (!P.get(ids(i))) { b += scores(ids(i)); f += 1 }
         i += 1
       }
-      (benefit, fresh)
-    })
-    def avgBenefit(p: String): Double = {
-      val (b, f) = stats(p); if (f == 0) 0.0 else b / f
+      benefit(g) = b; fresh(g) = f; known.set(g)
+    }
+    def avgBenefit(g: Int): Double = {
+      stats(g); if (fresh(g) == 0) 0.0 else benefit(g) / fresh(g)
     }
 
     // §3.2 diversity constraint: never spend a query on a rule whose
@@ -120,47 +125,46 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     // would give the same answer ("avoid having to evaluate many similar
     // candidate heuristics").
     val askedCoverages = mutable.ArrayBuffer.empty[Array[Int]]
-    def redundant(p: String): Boolean = {
-      val ids = index.ids(p)
+    def redundant(g: Int): Boolean = {
+      val ids = index.postings(g)
       askedCoverages.exists(HeuristicIndex.jaccard(ids, _) >= Darwin.MaxAskedJaccard)
     }
 
-    def regen(): mutable.LinkedHashSet[String] =
-      mutable.LinkedHashSet.from(
-        CandidateGen.cleanup(index, P, CandidateGen.generate(index, P, cfg.k))
-          .filterNot(asked))
+    def regen(): java.util.BitSet = {
+      val pool = new java.util.BitSet(index.size)
+      CandidateGen.cleanup(index, P, CandidateGen.generate(index, P, cfg.k)).foreach(pool.set)
+      pool.andNot(asked)
+      pool
+    }
 
-    /** argmax over a candidate pool with deterministic tie-breaking. */
-    def pick(pool: Iterable[String], key: String => (Double, Double)): Option[String] =
-      pool.foldLeft(Option.empty[(String, (Double, Double))]) { (best, p) =>
-        val k = key(p)
-        best match {
-          case Some((bp, bk))
-            if bk._1 > k._1 || (bk._1 == k._1 && (bk._2 > k._2 ||
-              (bk._2 == k._2 && bp <= p))) => best
-          case _ => Some((p, k))
-        }
-      }.map(_._1)
+    /** argmax over a non-empty pool, scanned in ascending number: the best
+      * is replaced only by a strictly greater key, so ties go to the lower
+      * number, which is the lexicographically smaller rule.
+      */
+    def pick(pool: java.util.BitSet, key: Int => (Double, Double)): Int = {
+      import Ordering.Double.TotalOrdering
+      pool.stream().toArray.maxBy(key)
+    }
 
-    val byBenefit: String => (Double, Double) =
-      p => { val (b, f) = stats(p); (b, f.toDouble) }
-    val byAvgBenefit: String => (Double, Double) =
-      p => { val (b, f) = stats(p); (if (f == 0) 0.0 else b / f, b) }
-    val byCoverage: String => (Double, Double) =
-      p => (index.count(p).toDouble, 0.0)
+    val byBenefit: Int => (Double, Double) =
+      g => { stats(g); (benefit(g), fresh(g).toDouble) }
+    val byAvgBenefit: Int => (Double, Double) =
+      g => (avgBenefit(g), benefit(g))
+    val byCoverage: Int => (Double, Double) =
+      g => (index.postings(g).length.toDouble, 0.0)
 
-    def accept(r: String): Unit = {
+    def accept(r: Int): Unit = {
       R += r
-      index.ids(r).foreach(P.set)
+      index.postings(r).foreach(P.set)
       retrain()
-      statsCache.clear()
+      known.clear()
     }
-    def askOracle(r: String): Boolean = {
-      askedCoverages += index.ids(r)
-      oracle.query(index.ids(r))
+    def askOracle(r: Int): Boolean = {
+      askedCoverages += index.postings(r)
+      oracle.query(index.postings(r))
     }
-    def record(r: String, answer: Boolean): Unit =
-      trace += QueryEvent(oracle.queries, r, answer, P.cardinality(), prep.recall(P))
+    def record(r: Int, answer: Boolean): Unit =
+      trace += QueryEvent(oracle.queries, index.patterns(r), answer, P.cardinality(), prep.recall(P))
 
     // One traversal loop; the strategy only picks its settings (DESIGN.md,
     // "Traversal loop"): the pools it uses, the ranking key, whether
@@ -174,55 +178,53 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
       case Strategy.HighC           => (false, true, byCoverage, false, Int.MaxValue)
     }
 
-    val local = mutable.LinkedHashSet.empty[String]
+    val local = new java.util.BitSet(index.size)
     // §3.2 cleanup applied to the local pool: a rule whose coverage is
     // inside P cannot add positives — drop it without spending an oracle
     // query. `universal` needs none: regen() already drops those rules and
     // follows every change to P.
-    def pruneLocal(): Unit = local.filterInPlace(p => stats(p)._2 > 0)
-    def addLocalParents(r: String): Unit =
-      index.parents(r).filterNot(asked).foreach(local += _)
-    def addLocalChildren(r: String): Unit =
-      index.children(r).filterNot(asked).foreach(local += _)
+    def pruneLocal(): Unit =
+      local.stream().toArray.foreach { g => stats(g); if (fresh(g) == 0) local.clear(g) }
+    def addLocal(gs: Array[Int]): Unit = gs.foreach(g => if (!asked.get(g)) local.set(g))
     if (useLocal) seedRule match {
       // The seed is pre-verified: expand its neighborhood directly.
-      case Some(r) => addLocalParents(r); addLocalChildren(r)
+      case Some(r) => addLocal(index.parentsOf(r)); addLocal(index.childrenOf(r))
       // Rule-less start: anchor on the indexed rule with the highest
       // coverage over the seed positives (generate_hierarchy would surface
       // it first anyway).
-      case None => CandidateGen.generate(index, P, 1).foreach(local += _)
+      case None => CandidateGen.generate(index, P, 1).foreach(local.set)
     }
-    var universal = if (useUniversal) regen() else mutable.LinkedHashSet.empty[String]
+    var universal = if (useUniversal) regen() else new java.util.BitSet
 
     var inUniversal = useUniversal
     var attempt     = 0 // consecutive oracle rejections (not benefit skips)
     def pool = if (inUniversal) universal else local
     def flip(): Unit = { inUniversal = !inUniversal; attempt = 0 }
-    while (oracle.queries < budget && { pruneLocal(); local.nonEmpty || universal.nonEmpty }) {
+    while (oracle.queries < budget && { pruneLocal(); !local.isEmpty || !universal.isEmpty }) {
       if (attempt > tau) flip()
       if (pool.isEmpty) flip()
-      val r = pick(pool, key).get
+      val r = pick(pool, key)
       if (inUniversal && skipLowAvg && avgBenefit(r) <= Darwin.MinAvgBenefit) {
-        universal -= r // skipped, no oracle cost (see DESIGN.md)
+        universal.clear(r) // skipped, no oracle cost (see DESIGN.md)
       } else {
-        universal -= r; local -= r; asked += r
+        universal.clear(r); local.clear(r); asked.set(r)
         if (!redundant(r)) {
           val yes = askOracle(r)
           if (yes) {
             attempt = 0
             accept(r)
-            if (useLocal) addLocalParents(r)
+            if (useLocal) addLocal(index.parentsOf(r))
             if (useUniversal) universal = regen()
           } else {
             attempt += 1
-            if (useLocal) addLocalChildren(r)
+            if (useLocal) addLocal(index.childrenOf(r))
           }
           record(r, yes)
         }
       }
     }
 
-    DarwinResult(R.toVector, P, trace.result(), model)
+    DarwinResult(R.iterator.map(index.patterns(_)).toVector, P, trace.result(), model)
   }
 }
 

@@ -55,7 +55,7 @@ object Experiments {
       cache.getOrElseUpdate(spec.name, {
         val (p, s) = timed(PreparedCorpus.prepare(spark, spec, Some(sizeOf(spec))))
         println(f"[corpora] prepared ${spec.name} n=${p.n} positives=${p.nPos} " +
-                f"index=${p.index.entries.size} in $s%.1f s")
+                f"index=${p.index.size} in $s%.1f s")
         p
       })
   }

@@ -68,6 +68,13 @@ final case class IndexStats(
   * counts, inverted lists, and
   * parent/child navigation following the grammar's derivation rules.
   *
+  * The kept patterns are numbered once: a pattern's number is its
+  * position in ``patterns``, which is sorted by ``repr``, so comparing two
+  * numbers compares the two rules lexicographically. Postings, parents and
+  * children are stored by number; ``roots`` are the patterns with no
+  * indexed parent (the children of the virtual root '*', Alg. 2 line 1).
+  * The ``String`` accessors look the number up with [[id]].
+  *
   * Built by [[HeuristicIndex.build]] the way the paper describes: "index
   * structures for different parts of the corpus are created independently
   * and then merged". Each Spark partition parses and sketches each of its
@@ -76,31 +83,56 @@ final case class IndexStats(
   * partitions' pattern counts once and expands only the kept patterns into
   * inverted lists.
   */
-final class HeuristicIndex(
+final class HeuristicIndex private (
     val n: Int,
-    val entries: Map[String, IndexEntry],
-    val childrenMap: Map[String, Vector[String]],
-    parentsMap: Map[String, Vector[String]],
-    val rootChildren: Vector[String],
+    val patterns: Array[String],
+    lists: Array[Array[Int]],
+    parentLists: Array[Array[Int]],
+    childLists: Array[Array[Int]],
+    val roots: Array[Int],
     val stats: IndexStats,
 ) extends Serializable {
 
-  def contains(p: String): Boolean = entries.contains(p)
-  def count(p: String): Int        = entries.get(p).map(_.count).getOrElse(0)
-  def ids(p: String): Array[Int]   = entries.get(p).map(_.ids).getOrElse(Array.empty)
+  /** The number of indexed patterns. */
+  def size: Int = patterns.length
 
-  /** Children of ``p`` in the index ('*' is the virtual root). */
-  def children(p: String): Vector[String] =
-    if (p == HeuristicIndex.Root) rootChildren
-    else childrenMap.getOrElse(p, Vector.empty)
+  /** The number of pattern ``p``, or −1 if it is not indexed. */
+  def id(p: String): Int = HeuristicIndex.search(patterns, p)
 
-  /** Parents of ``p`` present in the index (empty for a pattern that is
-    * not indexed).
+  /** Pattern ``g``'s inverted list (sorted sentence ids). */
+  def postings(g: Int): Array[Int] = lists(g)
+
+  /** Pattern ``g``'s indexed parents, in grammar order. */
+  def parentsOf(g: Int): Array[Int] = parentLists(g)
+
+  /** Pattern ``g``'s indexed children, in ascending number. */
+  def childrenOf(g: Int): Array[Int] = childLists(g)
+
+  /** |C_g ∩ P| for a driver-side positive set. */
+  def posCount(g: Int, pos: java.util.BitSet): Int = HeuristicIndex.overlap(lists(g), pos)
+
+  def contains(p: String): Boolean = id(p) >= 0
+  def count(p: String): Int        = ids(p).length
+  def ids(p: String): Array[Int]   = { val g = id(p); if (g < 0) Array.emptyIntArray else lists(g) }
+
+  /** Children of ``p`` in the index, in sorted order (empty for a pattern
+    * that is not indexed).
     */
-  def parents(p: String): Vector[String] = parentsMap.getOrElse(p, Vector.empty)
+  def children(p: String): Vector[String] = named(p, childLists)
 
-  /** |C_p ∩ P| for a driver-side positive set. */
-  def posCount(p: String, pos: java.util.BitSet): Int = HeuristicIndex.overlap(ids(p), pos)
+  /** Parents of ``p`` present in the index, in grammar order (empty for a
+    * pattern that is not indexed).
+    */
+  def parents(p: String): Vector[String] = named(p, parentLists)
+
+  private def named(p: String, edges: Array[Array[Int]]): Vector[String] = {
+    val g = id(p)
+    if (g < 0) Vector.empty else edges(g).iterator.map(patterns(_)).toVector
+  }
+
+  /** Every pattern and its inverted list, built on each call. */
+  def entries: Map[String, IndexEntry] =
+    patterns.indices.iterator.map(g => patterns(g) -> IndexEntry(patterns(g), lists(g))).toMap
 
   /** ∪ C_p over ``patterns``, as a set of sentence ids (a pattern that is
     * not indexed covers nothing).
@@ -113,9 +145,6 @@ final class HeuristicIndex(
 }
 
 object HeuristicIndex {
-
-  /** Virtual root heuristic '*' matching every sentence (Alg. 2 line 1). */
-  val Root = "*"
 
   /** Default minimum coverage: the paper assumes heuristics cover
     * Ω(log n) sentences (§3.8).
@@ -287,16 +316,11 @@ object HeuristicIndex {
       }
     }
 
-    val entries = Map.newBuilder[String, IndexEntry]
-    for (g <- patterns.indices if lists(g) != null) {
-      val ids = lists(g)
-      if (!ascending(ids)) java.util.Arrays.sort(ids)
-      entries += patterns(g) -> IndexEntry(patterns(g), ids)
-    }
-    val kept = entries.result()
-    assemble(total.toInt, kept,
+    val kept = patterns.indices.filter(lists(_) != null).sortBy(patterns).toArray
+    for (g <- kept if !ascending(lists(g))) java.util.Arrays.sort(lists(g))
+    assemble(total.toInt, kept.map(patterns), kept.map(lists),
              IndexStats(total.toInt, parts.iterator.map(_.texts).sum, patterns.length, postings,
-                        kept.size, low, high, keptPostings, longest))
+                        kept.length, low, high, keptPostings, longest))
   }
 
   private def ascending(ids: Array[Int]): Boolean = {
@@ -305,33 +329,33 @@ object HeuristicIndex {
     i >= ids.length
   }
 
-  /** Assemble navigation maps from given entries (used by tests to build
-    * small indexes directly). The stats count only what is kept.
+  /** Assemble an index from given entries (used by tests to build small
+    * indexes directly). The stats count only what is kept.
     */
   def fromEntries(n: Int, entries: Map[String, IndexEntry]): HeuristicIndex = {
-    val counts = entries.valuesIterator.map(_.count).toArray
-    assemble(n, entries, IndexStats(n, 0, 0, 0L, counts.length, 0, 0,
-                                    counts.map(_.toLong).sum, counts.maxOption.getOrElse(0)))
+    val patterns = entries.keys.toArray.sorted
+    val lists    = patterns.map(entries(_).ids)
+    assemble(n, patterns, lists, IndexStats(n, 0, 0, 0L, lists.length, 0, 0,
+                                            lists.map(_.length.toLong).sum,
+                                            lists.map(_.length).maxOption.getOrElse(0)))
   }
 
-  private def assemble(n: Int, entries: Map[String, IndexEntry],
+  /** Numbers the navigation: ``patterns`` is sorted and ``lists(g)`` is
+    * pattern ``g``'s inverted list. A pattern's parents are its grammar
+    * parents that are indexed, in grammar order; filling the children in
+    * ascending number keeps each child list sorted.
+    */
+  private def assemble(n: Int, patterns: Array[String], lists: Array[Array[Int]],
                        stats: IndexStats): HeuristicIndex = {
-    val parents = entries.map { case (p, _) =>
-      p -> Heuristic.parse(p).parents.map(_.repr).filter(entries.contains).toVector
-    }
-    val children = mutable.HashMap.empty[String, mutable.ArrayBuffer[String]]
-    val roots    = mutable.ArrayBuffer.empty[String]
-    for ((p, present) <- parents) {
-      if (present.isEmpty) roots += p
-      else present.foreach(q => children.getOrElseUpdate(q, mutable.ArrayBuffer.empty) += p)
-    }
-    new HeuristicIndex(
-      n,
-      entries,
-      children.view.mapValues(_.sorted.toVector).toMap,
-      parents,
-      roots.sorted.toVector,
-      stats,
-    )
+    val parents = patterns.map(p =>
+      Heuristic.parse(p).parents.iterator.map(q => search(patterns, q.repr)).filter(_ >= 0).toArray)
+    val children = Array.fill(patterns.length)(new mutable.ArrayBuilder.ofInt)
+    for (g <- patterns.indices; q <- parents(g)) children(q).addOne(g)
+    new HeuristicIndex(n, patterns, lists, parents, children.map(_.result()),
+                       patterns.indices.filter(parents(_).isEmpty).toArray, stats)
   }
+
+  /** The position of ``p`` in the sorted ``patterns``, or −1. */
+  private def search(patterns: Array[String], p: String): Int =
+    math.max(-1, java.util.Arrays.binarySearch(patterns.asInstanceOf[Array[AnyRef]], p))
 }

@@ -25,54 +25,67 @@ class CandidateGenSpec extends AnyFunSuite {
     val b = new java.util.BitSet(10); is.foreach(b.set); b
   }
 
+  private def generate(pos: java.util.BitSet, k: Int): Vector[String] =
+    CandidateGen.generate(idx, pos, k).toVector.map(idx.patterns(_))
+
+  private def cleanup(pos: java.util.BitSet, candidates: String*): Vector[String] =
+    CandidateGen.cleanup(idx, pos, candidates.map(idx.id).toArray).toVector.map(idx.patterns(_))
+
   test("greedy picks the candidate with most coverage over P first") {
-    val got = CandidateGen.generate(idx, bits(0, 1, 2, 3), 3)
+    val got = generate(bits(0, 1, 2, 3), 3)
     assert(got.head === "G:a") // posCount 4, count 6 beats G:b (4,4) on count
   }
 
   test("children of the selected candidate join the pool") {
-    val got = CandidateGen.generate(idx, bits(0, 1, 2, 3), 9)
+    val got = generate(bits(0, 1, 2, 3), 9)
     assert(got.contains("G:a b"))
     assert(got.contains("G:a b c"))
   }
 
   test("generates exactly k candidates when available") {
-    assert(CandidateGen.generate(idx, bits(0), 4).length === 4)
+    assert(generate(bits(0), 4).length === 4)
   }
 
   test("returns fewer than k when the index is exhausted") {
-    val got = CandidateGen.generate(idx, bits(0), 100)
-    assert(got.length === idx.entries.size)
+    val got = generate(bits(0), 100)
+    assert(got.length === idx.size)
     assert(got.distinct.length === got.length)
   }
 
   test("empty P still yields candidates (count tie-break)") {
-    val got = CandidateGen.generate(idx, bits(), 2)
+    val got = generate(bits(), 2)
     assert(got.nonEmpty)
     // with all posCounts 0, highest total coverage wins
     assert(got.head === "G:a")
   }
 
   test("disjoint-cluster candidates are still reachable") {
-    val got = CandidateGen.generate(idx, bits(6, 7), 9)
+    val got = generate(bits(6, 7), 9)
     assert(got.head === "G:x")
     assert(got.contains("G:x y"))
   }
 
   test("cleanup drops candidates fully inside P") {
     val p = bits(0, 1)
-    val kept = CandidateGen.cleanup(idx, p, Vector("G:a", "G:a b c", "G:c"))
+    val kept = cleanup(p, "G:a", "G:a b c", "G:c")
     assert(kept === Vector("G:a")) // G:a b c and G:c are ⊆ P
   }
 
   test("cleanup keeps candidates with any fresh coverage") {
-    val kept = CandidateGen.cleanup(idx, bits(0), Vector("G:a b c", "G:x y"))
+    val kept = cleanup(bits(0), "G:a b c", "G:x y")
     assert(kept === Vector("G:a b c", "G:x y"))
   }
 
+  test("full selection order: (posCount, count) ties go to the larger repr") {
+    // G:b and G:a b tie at (2, 4); G:c, G:b c and G:a b c at (2, 2); G:y
+    // and G:x y at (0, 2)
+    assert(generate(bits(0, 1), 9) === Vector(
+      "G:a", "G:b", "G:a b", "G:c", "G:b c", "G:a b c", "G:x", "G:y", "G:x y"))
+  }
+
   test("determinism: same inputs give same candidate order") {
-    val a = CandidateGen.generate(idx, bits(0, 1, 6), 9)
-    val b = CandidateGen.generate(idx, bits(0, 1, 6), 9)
+    val a = generate(bits(0, 1, 6), 9)
+    val b = generate(bits(0, 1, 6), 9)
     assert(a === b)
   }
 }

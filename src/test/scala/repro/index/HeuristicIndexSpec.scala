@@ -62,17 +62,21 @@ class HeuristicIndexSpec extends SparkSpec {
 
   test("the build does not depend on how the corpus is partitioned") {
     val corpus = CorpusGen.corpus(spark, Datasets.tweets, Some(nSmall))
-    def built(c: Dataset[CorpusRow]) = idsByPattern(HeuristicIndex.build(spark, c))
+    def built(c: Dataset[CorpusRow]) = HeuristicIndex.build(spark, c)
     val asGenerated = built(corpus)
-    assert(asGenerated === idsByPattern(index))
-    assert(built(corpus.repartition(1)) === asGenerated)
+    assert(idsByPattern(asGenerated) === idsByPattern(index))
+    def assertSame(other: HeuristicIndex) = {
+      assert(idsByPattern(other) === idsByPattern(asGenerated))
+      assert(other.patterns.toSeq === asGenerated.patterns.toSeq) // the numbering
+    }
+    assertSame(built(corpus.repartition(1)))
     val shuffled = corpus.repartition(7)
     // the shuffle hands each partition its ids out of order, so only the
     // merge's sort keeps the lists identical
     val parts = HeuristicIndex.scan(shuffled.rdd)(_ => ())
     assert(parts.length === 7)
     assert(parts.exists(part => !part.ids.sameElements(part.ids.sorted)))
-    assert(built(shuffled) === asGenerated)
+    assertSame(built(shuffled))
   }
 
   test("prepare over the plain RDD equals build over the Dataset, with exact features and labels") {
@@ -172,6 +176,7 @@ class HeuristicIndexSpec extends SparkSpec {
       val prepared = PreparedCorpus.ofRows(Datasets.professions.name, rdd)
       assert(rdd.getNumPartitions === partitions)
       assert(idsByPattern(prepared.index) === idsByPattern(reference.index), how)
+      assert(prepared.index.patterns.toSeq === reference.index.patterns.toSeq, how)
       assert(prepared.index.stats.copy(textsParsed = 0) ===
                reference.index.stats.copy(textsParsed = 0), how)
       assert(bits(prepared) === bits(reference), how)
@@ -230,16 +235,32 @@ class HeuristicIndexSpec extends SparkSpec {
   }
 
   test("child coverage is a subset of parent coverage") {
-    for ((parent, kids) <- index.childrenMap.iterator.take(300); k <- kids) {
-      val ps = index.ids(parent).toSet
-      assert(index.ids(k).forall(ps.contains), s"$k not subset of $parent")
+    for (g <- 0 until index.size; c <- index.childrenOf(g)) {
+      val ps = index.postings(g).toSet
+      assert(index.postings(c).forall(ps.contains),
+             s"${index.patterns(c)} not subset of ${index.patterns(g)}")
     }
   }
 
-  test("childrenMap is the inverse of parents()") {
-    for (p <- index.entries.keysIterator.take(200); par <- index.parents(p)) {
-      assert(index.children(par).contains(p), s"$p missing from children($par)")
+  test("pattern numbers: sorted patterns, id lookup, children inverse to parents, parentless roots") {
+    val ps = index.patterns
+    assert(ps.length === index.size && ps.length === index.entries.size)
+    assert(ps.indices.drop(1).forall(g => ps(g - 1) < ps(g)), "patterns not strictly ascending")
+    for (g <- ps.indices) {
+      assert(index.id(ps(g)) === g)
+      assert(index.postings(g) eq index.ids(ps(g)))
     }
+    assert(index.id("G:zzz nope") === -1)
+    for (g <- ps.indices) {
+      val kids = index.childrenOf(g).toSeq
+      assert(kids === kids.sorted, s"children of ${ps(g)} not ascending")
+      assert(kids === ps.indices.filter(index.parentsOf(_).contains(g)), ps(g))
+      assert(index.children(ps(g)) === kids.map(ps(_)))
+      assert(index.parents(ps(g)) === index.parentsOf(g).toSeq.map(ps(_)))
+    }
+    assert(index.roots.toSeq === ps.indices.filter(index.parentsOf(_).isEmpty))
+    assert(index.roots.toSeq === ps.indices.filter(g =>
+      Heuristic.parse(ps(g)).parents.forall(q => !index.contains(q.repr))))
   }
 
   test("parents() is the grammar's parents that are indexed, in grammar order") {
@@ -248,24 +269,12 @@ class HeuristicIndexSpec extends SparkSpec {
         Heuristic.parse(p).parents.map(_.repr).filter(index.contains).toVector, p)
   }
 
-  test("root children have no indexed parent") {
-    for (p <- index.rootChildren.take(200))
-      assert(index.parents(p).isEmpty, s"$p has parents but is a root child")
-  }
-
-  test("virtual root lists all parentless patterns") {
-    val expected = index.entries.keysIterator
-      .filter(p => Heuristic.parse(p).parents.map(_.repr).forall(!index.contains(_)))
-      .toVector.sorted
-    assert(index.children(HeuristicIndex.Root) === expected)
-  }
-
   test("posCount computes |C_r ∩ P| correctly") {
     val p  = index.entries.keysIterator.maxBy(index.count)
     val bs = new java.util.BitSet(prep.n)
     index.ids(p).take(5).foreach(bs.set)
-    assert(index.posCount(p, bs) === math.min(5, index.count(p)))
-    assert(index.posCount(p, new java.util.BitSet(prep.n)) === 0)
+    assert(index.posCount(index.id(p), bs) === math.min(5, index.count(p)))
+    assert(index.posCount(index.id(p), new java.util.BitSet(prep.n)) === 0)
     // the union and the Jaccard that every caller shares, against Set
     // arithmetic, on a rule and one of its children
     val r = index.entries.keysIterator.filter(index.children(_).nonEmpty).maxBy(index.count)
@@ -314,7 +323,7 @@ class HeuristicIndexSpec extends SparkSpec {
       "G:b"   -> IndexEntry("G:b", Array(0, 1)),
     )
     val idx = HeuristicIndex.fromEntries(3, entries)
-    assert(idx.rootChildren.toSet === Set("G:a", "G:b"))
+    assert(idx.roots.toSeq.map(idx.patterns(_)) === Seq("G:a", "G:b"))
     assert(idx.children("G:a") === Vector("G:a b"))
     assert(idx.children("G:b") === Vector("G:a b"))
     assert(idx.parents("G:a b").toSet === Set("G:a", "G:b"))
