@@ -242,7 +242,7 @@ class HeuristicIndexSpec extends SparkSpec {
     }
   }
 
-  test("pattern numbers: sorted patterns, id lookup, children inverse to parents, parentless roots") {
+  test("pattern numbers: sorted patterns and id lookup") {
     val ps = index.patterns
     assert(ps.length === index.size && ps.length === index.entries.size)
     assert(ps.indices.drop(1).forall(g => ps(g - 1) < ps(g)), "patterns not strictly ascending")
@@ -251,6 +251,10 @@ class HeuristicIndexSpec extends SparkSpec {
       assert(index.postings(g) eq index.ids(ps(g)))
     }
     assert(index.id("G:zzz nope") === -1)
+  }
+
+  test("childrenMap is the inverse of parents()") {
+    val ps = index.patterns
     for (g <- ps.indices) {
       val kids = index.childrenOf(g).toSeq
       assert(kids === kids.sorted, s"children of ${ps(g)} not ascending")
@@ -258,7 +262,16 @@ class HeuristicIndexSpec extends SparkSpec {
       assert(index.children(ps(g)) === kids.map(ps(_)))
       assert(index.parents(ps(g)) === index.parentsOf(g).toSeq.map(ps(_)))
     }
-    assert(index.roots.toSeq === ps.indices.filter(index.parentsOf(_).isEmpty))
+  }
+
+  test("root children have no indexed parent") {
+    for (g <- index.roots)
+      assert(index.parentsOf(g).isEmpty, s"${index.patterns(g)} has parents but is a root")
+    assert(index.roots.toSeq === index.patterns.indices.filter(index.parentsOf(_).isEmpty))
+  }
+
+  test("virtual root lists all parentless patterns") {
+    val ps = index.patterns
     assert(index.roots.toSeq === ps.indices.filter(g =>
       Heuristic.parse(ps(g)).parents.forall(q => !index.contains(q.repr))))
   }
