@@ -43,7 +43,6 @@ final case class DarwinResult(
   /** recall after each query, prefixed with the post-seed state at x=0. */
   def recallCurve(seedRecall: Double): Vector[(Int, Double)] =
     (0, seedRecall) +: trace.map(e => (e.query, e.recall))
-  def finalRecall: Double = trace.lastOption.map(_.recall).getOrElse(0.0)
 }
 
 /** The Darwin driver (paper Algorithm 1): seed → iterate (candidate

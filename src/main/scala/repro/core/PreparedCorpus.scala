@@ -30,19 +30,12 @@ final class PreparedCorpus(
 
   /** Recall of a discovered positive set: |P ∩ GT| / |GT|. */
   def recall(p: java.util.BitSet): Double =
-    if (nPos == 0) 0.0 else truePositives(p).toDouble / nPos
+    if (nPos == 0) 0.0 else HeuristicIndex.overlap(p, gt).toDouble / nPos
 
   /** Fraction of P that is truly positive. */
   def precisionOf(p: java.util.BitSet): Double = {
     val c = p.cardinality()
-    if (c == 0) 0.0 else truePositives(p).toDouble / c
-  }
-
-  /** |P ∩ GT|. */
-  private def truePositives(p: java.util.BitSet): Int = {
-    val both = p.clone().asInstanceOf[java.util.BitSet]
-    both.and(gt)
-    both.cardinality()
+    if (c == 0) 0.0 else HeuristicIndex.overlap(p, gt).toDouble / c
   }
 
   /** Ground-truth positive ids (for seed-sampling experiments). */

@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.core.{Classifier, Model, PreparedCorpus}
+import repro.index.HeuristicIndex
 
 /** Precision / recall / F1 helpers shared by all experiments. */
 object Metrics {
@@ -29,18 +30,9 @@ object Metrics {
   }
 
   /** Evaluate a predicted positive set against ground truth. */
-  def ofBitset(pred: java.util.BitSet, gt: java.util.BitSet, n: Int): PRF = {
-    var tp = 0; var fp = 0; var fn = 0
-    var i = 0
-    while (i < n) {
-      val y  = gt.get(i)
-      val yh = pred.get(i)
-      if (yh && y) tp += 1
-      else if (yh) fp += 1
-      else if (y) fn += 1
-      i += 1
-    }
-    prf(tp, fp, fn)
+  def ofBitset(pred: java.util.BitSet, gt: java.util.BitSet): PRF = {
+    val tp = HeuristicIndex.overlap(pred, gt)
+    prf(tp, pred.cardinality() - tp, gt.cardinality() - tp)
   }
 
   /** Classifier F-score over the whole corpus at [[DecisionThreshold]] (§4.4). */
@@ -51,7 +43,7 @@ object Metrics {
       if (model.score(prep.features(i)) >= DecisionThreshold) pred.set(i)
       i += 1
     }
-    ofBitset(pred, prep.gt, prep.n)
+    ofBitset(pred, prep.gt)
   }
 
   /** Train the §4.4 end classifier on a discovered positive set (random

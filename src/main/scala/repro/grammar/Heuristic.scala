@@ -4,22 +4,29 @@ import repro.text.Parsed
 
 /** A terminal of the TreeMatch grammar: a token literal or a POS tag. */
 sealed trait Term extends Serializable {
+  /** The token or the tag itself. */
+  def text: String
   def repr: String
   def matchesNode(p: Parsed, i: Int): Boolean
 }
 object Term {
-  final case class Tok(w: String) extends Term {
-    val repr = s"t=$w"
-    def matchesNode(p: Parsed, i: Int): Boolean = p.tokens(i) == w
+  final case class Tok(text: String) extends Term {
+    val repr = s"t=$text"
+    def matchesNode(p: Parsed, i: Int): Boolean = p.tokens(i) == text
   }
-  final case class Pos(t: String) extends Term {
-    val repr = s"p=$t"
-    def matchesNode(p: Parsed, i: Int): Boolean = p.pos(i) == t
+  final case class Pos(text: String) extends Term {
+    val repr = s"p=$text"
+    def matchesNode(p: Parsed, i: Int): Boolean = p.pos(i) == text
   }
   def parse(s: String): Term =
     if (s.startsWith("t=")) Tok(s.substring(2))
     else if (s.startsWith("p=")) Pos(s.substring(2))
     else throw new IllegalArgumentException(s"bad term: $s")
+
+  /** The canonical order of the operands of a commutative heuristic: by
+    * ``repr``, so every tag sorts before every token, then by text.
+    */
+  def leq(a: Term, b: Term): Boolean = a.repr.compareTo(b.repr) <= 0
 }
 
 /** A labeling heuristic: a derivation of one of the heuristic grammars
@@ -102,10 +109,10 @@ object Heuristic {
   }
 
   /** TreeMatch ``a∧b``: two *distinct* nodes match ``a`` and ``b``.
-    * Stored in canonical (sorted-repr) order since conjunction commutes.
+    * Stored in canonical ([[Term.leq]]) order since conjunction commutes.
     */
   final case class AndPat(a: Term, b: Term) extends Heuristic {
-    require(a.repr <= b.repr, s"AndPat not canonical: ${a.repr} > ${b.repr}")
+    require(Term.leq(a, b), s"AndPat not canonical: ${a.repr} > ${b.repr}")
     val repr: String = s"T:A(${a.repr},${b.repr})"
     def matches(p: Parsed): Boolean =
       p.tokens.indices.exists { i =>
@@ -115,15 +122,15 @@ object Heuristic {
   }
   object AndPat {
     def canonical(x: Term, y: Term): AndPat =
-      if (x.repr <= y.repr) AndPat(x, y) else AndPat(y, x)
+      if (Term.leq(x, y)) AndPat(x, y) else AndPat(y, x)
   }
 
   /** TreeMatch ``a/b∧c`` (paper's ``/is/NOUN∧job``): a node matching ``a``
     * with two distinct children matching ``b`` and ``c``. ``b``/``c`` are
-    * canonical-ordered.
+    * in canonical ([[Term.leq]]) order.
     */
   final case class Child2Pat(a: Term, b: Term, c: Term) extends Heuristic {
-    require(b.repr <= c.repr, s"Child2Pat not canonical: ${b.repr} > ${c.repr}")
+    require(Term.leq(b, c), s"Child2Pat not canonical: ${b.repr} > ${c.repr}")
     val repr: String = s"T:C2(${a.repr},${b.repr},${c.repr})"
     def matches(p: Parsed): Boolean =
       p.tokens.indices.exists { i =>
@@ -137,7 +144,7 @@ object Heuristic {
   }
   object Child2Pat {
     def canonical(a: Term, x: Term, y: Term): Child2Pat =
-      if (x.repr <= y.repr) Child2Pat(a, x, y) else Child2Pat(a, y, x)
+      if (Term.leq(x, y)) Child2Pat(a, x, y) else Child2Pat(a, y, x)
   }
 
   private val TwoArg   = """T:([CDA])\(([^,()]+),([^,()]+)\)""".r

@@ -35,7 +35,8 @@ import scala.collection.mutable
   * id)``. A dictionary is local to one enumeration context (a Spark
   * partition, or one [[SketchExtractor.patterns]] call); ids mean nothing
   * outside it. [[SketchExtractor.decode]] turns a key back into the
-  * pattern's canonical ``repr``, once per distinct key.
+  * [[Heuristic]] it stands for and returns its canonical ``repr``, once
+  * per distinct key; the dictionary keeps [[Term]]s and no notation.
   *
   * Extraction is complete for this family: ``patterns(p).contains(h.repr)``
   * iff ``h.matches(p)`` for every family heuristic ``h`` (tested).
@@ -74,56 +75,42 @@ object SketchExtractor extends Serializable {
     private val tags   = mutable.HashMap.empty[String, Int]
     private val nodes  = mutable.LongMap.empty[Int]
     // per id: the sequence's prefix id (-1 for a term) and its last term;
-    // per term id: its text and whether it is a POS tag
+    // per term id: the term (null for a longer sequence)
     private var prefixOf = new Array[Int](64)
     private var lastOf   = new Array[Int](64)
-    private var textOf   = new Array[String](64)
-    private var isTagOf  = new Array[Boolean](64)
+    private var termOf   = new Array[Term](64)
     private var size     = 0
 
-    def token(w: String): Int = tokens.getOrElseUpdate(w, add(-1, -1, w, tag = false))
-    def tag(t: String): Int   = tags.getOrElseUpdate(t, add(-1, -1, t, tag = true))
+    def token(w: String): Int = tokens.getOrElseUpdate(w, add(-1, -1, Term.Tok(w)))
+    def tag(t: String): Int   = tags.getOrElseUpdate(t, add(-1, -1, Term.Pos(t)))
 
     /** The sequence ``prefix`` followed by the term ``term``. */
     def node(prefix: Int, term: Int): Int = {
       val k  = (prefix.toLong << 32) | term
       val id = nodes.getOrElse(k, -1)
       if (id >= 0) id
-      else { val added = add(prefix, term, null, tag = false); nodes.update(k, added); added }
+      else { val added = add(prefix, term, null); nodes.update(k, added); added }
     }
 
-    /** Canonical order of two terms: by their ``repr``, so every ``p=``
-      * sorts before every ``t=``, then by text.
-      */
-    def termLeq(x: Int, y: Int): Boolean =
-      if (isTagOf(x) != isTagOf(y)) isTagOf(x) else textOf(x).compareTo(textOf(y)) <= 0
+    /** Canonical order of two term ids: their terms' [[Term.leq]]. */
+    def termLeq(x: Int, y: Int): Boolean = Term.leq(termOf(x), termOf(y))
 
     def prefix(id: Int): Int = prefixOf(id)
     def last(id: Int): Int   = lastOf(id)
+    def term(id: Int): Term  = termOf(id)
 
-    /** Appends the ``repr`` of a term: ``t=word`` or ``p=TAG``. */
-    def term(id: Int, sb: StringBuilder): StringBuilder =
-      sb.append(if (isTagOf(id)) "p=" else "t=").append(textOf(id))
-
-    /** Appends the words of a phrase, joined by single spaces. */
-    def words(id: Int, sb: StringBuilder): StringBuilder =
-      if (prefixOf(id) < 0) sb.append(textOf(id))
-      else words(prefixOf(id), sb).append(' ').append(textOf(lastOf(id)))
-
-    private def add(prefix: Int, last: Int, text: String, tag: Boolean): Int = {
+    private def add(prefix: Int, last: Int, term: Term): Int = {
       require(size < limit, s"sketch dictionary overflow: more than $limit terms and sequences")
       if (size == prefixOf.length) {
         val cap = if (size <= limit / 2) size * 2 else limit
         prefixOf = java.util.Arrays.copyOf(prefixOf, cap)
         lastOf   = java.util.Arrays.copyOf(lastOf, cap)
-        textOf   = java.util.Arrays.copyOf(textOf, cap)
-        isTagOf  = java.util.Arrays.copyOf(isTagOf, cap)
+        termOf   = java.util.Arrays.copyOf(termOf, cap)
       }
       val id = size
       prefixOf(id) = prefix
       lastOf(id)   = if (prefix < 0) id else last
-      textOf(id)   = text
-      isTagOf(id)  = tag
+      termOf(id)   = term
       size += 1
       id
     }
@@ -152,9 +139,9 @@ object SketchExtractor extends Serializable {
     * terms in ``dict``. A pattern may be emitted more than once per
     * sentence; the caller deduplicates.
     *
-    * The A and C2 operands are put in canonical order by their ``repr``
-    * strings ([[Dictionary.termLeq]]), never by id, so a decoded key is
-    * exactly the pattern's canonical ``repr``.
+    * The A and C2 operands are put in [[Term.leq]] order
+    * ([[Dictionary.termLeq]]), never by id, so every key decodes to a
+    * canonical [[Heuristic]].
     */
   def keys(p: Parsed, dict: Dictionary)(emit: Long => Unit): Unit = {
     val n   = p.length
@@ -248,24 +235,27 @@ object SketchExtractor extends Serializable {
     }
   }
 
-  /** The canonical ``repr`` of a key emitted with ``dict``. */
+  /** The canonical ``repr`` of the [[Heuristic]] a key emitted with
+    * ``dict`` stands for.
+    */
   def decode(k: Long, dict: Dictionary): String = {
-    val a  = ((k >>> IdBits) & IdMask).toInt
-    val b  = (k & IdMask).toInt
-    val sb = new StringBuilder(48)
-    (k >>> (2 * IdBits)).toInt match {
-      case G  => dict.words(a, sb.append("G:"))
-      case T  => dict.term(a, sb.append("T:"))
-      case C2 =>
-        dict.term(dict.prefix(a), sb.append("T:C2(")).append(',')
-        dict.term(dict.last(a), sb).append(',')
-        dict.term(b, sb).append(')')
-      case kind =>
-        val op = kind match { case C => "T:C(" case D => "T:D(" case A => "T:A(" }
-        dict.term(a, sb.append(op)).append(',')
-        dict.term(b, sb).append(')')
+    val a = ((k >>> IdBits) & IdMask).toInt
+    val b = (k & IdMask).toInt
+    val h = (k >>> (2 * IdBits)).toInt match {
+      case G  => Heuristic.Phrase(words(a, dict))
+      case T  => Heuristic.TermPat(dict.term(a))
+      case C  => Heuristic.ChildPat(dict.term(a), dict.term(b))
+      case D  => Heuristic.DescPat(dict.term(a), dict.term(b))
+      case A  => Heuristic.AndPat(dict.term(a), dict.term(b))
+      case C2 => Heuristic.Child2Pat(dict.term(dict.prefix(a)), dict.term(dict.last(a)), dict.term(b))
     }
-    sb.toString
+    h.repr
+  }
+
+  /** The words of the phrase with sequence id ``id``. */
+  private def words(id: Int, dict: Dictionary): Vector[String] = {
+    val w = dict.term(dict.last(id)).text
+    if (dict.prefix(id) < 0) Vector(w) else words(dict.prefix(id), dict) :+ w
   }
 
   /** Is ``h`` a member of the indexed family for some sentence? Used by

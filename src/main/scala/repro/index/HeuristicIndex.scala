@@ -165,6 +165,13 @@ object HeuristicIndex {
     c
   }
 
+  /** |a ∩ b| of two sets of sentence ids. */
+  def overlap(a: java.util.BitSet, b: java.util.BitSet): Int = {
+    val both = a.clone().asInstanceOf[java.util.BitSet]
+    both.and(b)
+    both.cardinality()
+  }
+
   /** Jaccard similarity |a ∩ b| / |a ∪ b| of two sorted id lists (0 for
     * two empty lists).
     */

@@ -18,11 +18,7 @@ import repro.core.PreparedCorpus
   */
 object LabelModel {
 
-  final case class Fit(
-      posterior: Array[Double],      // P(y=1 | votes); 0 for uncovered
-      accuracyByRule: Array[Double], // a_j
-      prior: Double,                 // π (class balance)
-  )
+  final case class Fit(posterior: Array[Double]) // P(y=1 | votes); 0 for uncovered
 
   /** EM iterations of [[fit]]. */
   private val Iters = 25
@@ -87,7 +83,7 @@ object LabelModel {
       }
       it += 1
     }
-    Fit(q, a, prior)
+    Fit(q)
   }
 
   /** De-noised positive set: covered sentences with posterior ≥ [[MinPosterior]]. */

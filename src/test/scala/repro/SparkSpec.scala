@@ -1,7 +1,6 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
@@ -10,10 +9,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM, or else half of the machine's memory clamped to
   * 2–8 GB. The session is the jobs' own, [[repro.eval.Experiments.session]].
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {

@@ -20,14 +20,14 @@ class MetricsSpec extends AnyFunSuite {
   test("ofBitset counts tp/fp/fn") {
     val gt = new java.util.BitSet(6); Seq(0, 1, 2).foreach(gt.set)
     val pr = new java.util.BitSet(6); Seq(1, 2, 3).foreach(pr.set)
-    val m = Metrics.ofBitset(pr, gt, 6)
+    val m = Metrics.ofBitset(pr, gt)
     assert(m.precision === 2.0 / 3)
     assert(m.recall === 2.0 / 3)
   }
 
   test("perfect prediction yields F1 = 1") {
     val gt = new java.util.BitSet(4); Seq(1, 3).foreach(gt.set)
-    val m = Metrics.ofBitset(gt, gt, 4)
+    val m = Metrics.ofBitset(gt, gt)
     assert(m.f1 === 1.0)
   }
 

@@ -73,7 +73,6 @@ class LabelModelFitSpec extends AnyFunSuite {
   test("posteriors are valid probabilities") {
     val fit = LabelModel.fit(Vector(Array(0, 1, 2), Array(4, 5)), 8)
     assert(fit.posterior.forall(p => p >= 0.0 && p <= 1.0))
-    assert(fit.prior > 0.0 && fit.prior < 1.0)
   }
 
   test("a rule disjoint from all others is downweighted relative to corroborated rules") {
