@@ -82,13 +82,40 @@ class ExperimentsSpec extends SparkSpec {
     }
   }
 
+  /** ``table`` as pinned: §4.5's phase times blanked (every cell after
+    * the phase name), and the index's count of parsed texts dropped, since
+    * each partition parses its own distinct texts.
+    */
+  private def pinned(name: String, table: String): String =
+    if (name != "efficiency") table
+    else table.linesIterator
+      .map(l => if (l.startsWith("|")) l.take(l.indexOf('|', 1) + 1) else l)
+      .map(_.replaceAll(" parsed=\\d+", "")).mkString("\n")
+
+  // Golden outputs: a digest of each experiment's printed table at scale
+  // 0.05, and §4.5's index stats and result lines in full. Any change to a
+  // printed number shows up here. The same values come out under
+  // SPARK_MASTER=local[1] and local[4].
   test("repro.jobs.Paper runs every experiment at scale 0.05") {
     val corpora = new Experiments.Corpora(spark, Paper.scale("0.05"))
-    for ((name, experiment) <- Paper.experiments) {
+    val tables = for ((name, experiment) <- Paper.experiments.toSeq) yield {
       val result = experiment(corpora)
       assert(result.rows.nonEmpty, name)
       assert(result.table.linesIterator.count(_.startsWith("|")) > 2, s"$name:\n${result.table}")
+      name -> pinned(name, result.table)
     }
+    assert(tables.map { case (name, t) => name -> TestCorpora.digest(_.update(t.getBytes("UTF-8"))) } ===
+      Seq("table1"     -> "d232e14851a10ddf",
+          "table2"     -> "17bc60862f4e1533",
+          "snuba"      -> "f000c3c7bb48bd47",
+          "coverage"   -> "5d868389ea9e844a",
+          "quality"    -> "d9b41bbeb55483f8",
+          "efficiency" -> "3e9da47c8c0c9c12"))
+    val efficiency = tables.toMap.apply("efficiency").linesIterator.toSeq
+    assert(efficiency.contains("index rows=50000 emitted=6040 patterns/4796740 postings kept=4894 " +
+                               "prunedLow=1082 prunedHigh=64 keptPostings=3438945 longestList=9747"))
+    assert(efficiency.contains("rules=3 queries=10 recall=1.000 precisionOfP=1.000 " +
+                               "weakPositives=551 classifierF1=0.984"))
   }
 
   test("§4.5 weak positives from the index equal RuleApply's count at scale 0.05") {
