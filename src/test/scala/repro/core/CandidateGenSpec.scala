@@ -1,9 +1,9 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestCorpora}
 import repro.index.{HeuristicIndex, IndexEntry}
 
-class CandidateGenSpec extends AnyFunSuite {
+class CandidateGenSpec extends SparkSpec {
 
   /** Handcrafted index:
     *   G:a (0..5)  >  G:a b (0..3)  >  G:a b c (0,1)
@@ -81,6 +81,14 @@ class CandidateGenSpec extends AnyFunSuite {
     // and G:x y at (0, 2)
     assert(generate(bits(0, 1), 9) === Vector(
       "G:a", "G:b", "G:a b", "G:c", "G:b c", "G:a b c", "G:x", "G:y", "G:x y"))
+  }
+
+  test("every indexed pattern is reachable from the roots on the small corpora") {
+    for ((spec, corpus) <- TestCorpora.small) {
+      val index = corpus(spark).index
+      val got   = CandidateGen.generate(index, new java.util.BitSet, index.size)
+      assert(got.sorted.toSeq === (0 until index.size), spec.name)
+    }
   }
 
   test("determinism: same inputs give same candidate order") {

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestCorpora}
 import repro.data.Datasets
+import repro.eval.Experiments
 
 class DarwinSpec extends SparkSpec {
 
@@ -90,6 +91,38 @@ class DarwinSpec extends SparkSpec {
       for ((e, before) <- trace.zip(sizes))
         if (e.answer) assert(e.pSize > before, s"${spec.name} ${st.label}: YES on ${e.rule}")
         else assert(e.pSize === before, s"${spec.name} ${st.label}: NO on ${e.rule}")
+    }
+  }
+
+  // Every strategy at budget 100 on the five small corpora and on
+  // professions at the scale-0.05 size, where pruning the local pool after
+  // an accept changes which rules LS and HS would ask.
+  private lazy val invariantRuns: Seq[(String, PreparedCorpus, String, DarwinResult, ExactOracle)] = {
+    val professions = Datasets.professions
+    val scaled = professions -> ((s: org.apache.spark.sql.SparkSession) =>
+      TestCorpora.prepared(s, professions, Experiments.scaledSize(professions, 0.05)))
+    for ((spec, corpus) <- TestCorpora.small :+ scaled; st <- allStrategies) yield {
+      val prep          = corpus(spark)
+      val (res, oracle) = runOn(prep, spec.seedRule, 100, st)
+      (s"${spec.name} n=${prep.n} ${st.label}", prep, spec.seedRule, res, oracle)
+    }
+  }
+
+  test("no asked rule has its coverage inside P when asked, for every strategy") {
+    for ((run, prep, seedRule, res, _) <- invariantRuns) {
+      val p = prep.index.cover(Seq(seedRule))
+      for (e <- res.trace) {
+        val ids = prep.index.ids(e.rule)
+        assert(ids.exists(!p.get(_)), s"$run: query ${e.query} asks ${e.rule} with C_r ⊆ P")
+        if (e.answer) ids.foreach(p.set)
+      }
+    }
+  }
+
+  test("the budget counts only oracle queries, for every strategy") {
+    for ((run, _, _, res, oracle) <- invariantRuns) {
+      assert(res.queries === oracle.queries, run)
+      assert(oracle.queries <= 100, run)
     }
   }
 
