@@ -11,23 +11,24 @@ import scala.collection.mutable
 object CandidateGen {
 
   /** @return up to ``k`` candidate pattern numbers, in selection order. */
-  def generate(index: HeuristicIndex, pos: java.util.BitSet, k: Int): Array[Int] = {
+  def generate(index: HeuristicIndex, pos: java.util.BitSet, k: Int): Array[Int] =
+    generate(index, Array.tabulate(index.size)(index.posCount(_, pos)), k)
+
+  /** As above, given every pattern's coverage over P: ``posCount(g)`` is
+    * |C_g ∩ P|.
+    */
+  def generate(index: HeuristicIndex, posCount: Array[Int], k: Int): Array[Int] = {
     // Max-heap on (coverage over P, total coverage, number) — ties broken
     // toward higher total coverage (more generic first, as in the paper's
     // "most generic functions at the top"), then by number, which is
     // lexicographic order, for determinism.
-    val posCount = new Array[Int](index.size)
-    val heap     = mutable.PriorityQueue.empty[Int](
+    val heap   = mutable.PriorityQueue.empty[Int](
       Ordering.by((g: Int) => (posCount(g), index.postings(g).length, g)))
-    val seen     = new java.util.BitSet(index.size)
-    val result   = new mutable.ArrayBuilder.ofInt
+    val seen   = new java.util.BitSet(index.size)
+    val result = new mutable.ArrayBuilder.ofInt
 
     def push(g: Int): Unit =
-      if (!seen.get(g)) {
-        seen.set(g)
-        posCount(g) = index.posCount(g, pos)
-        heap.enqueue(g)
-      }
+      if (!seen.get(g)) { seen.set(g); heap.enqueue(g) }
 
     index.roots.foreach(push)
 

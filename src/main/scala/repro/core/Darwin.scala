@@ -50,8 +50,9 @@ final case class DarwinResult(
   *
   * Implementation notes (see DESIGN.md "Paper deviations"):
   *  - Alg. 4 line 10 typo corrected to `R ← R ∪ {r}, P ← P ∪ C_r`;
-  *  - the budget counts oracle queries only — the UniversalSearch
-  *    `avgBenefit ≤ 0.5` skip removes the rule without consuming budget;
+  *  - the budget counts oracle queries only — universal mode's
+  *    `avgBenefit ≤ 0.5` skip is a filter on each regenerated candidate
+  *    pool and consumes no budget;
   *  - HybridSearch's failure counter resets on a YES (the paper's stated
   *    intent: switch after τ *unsuccessful* attempts).
   */
@@ -88,35 +89,53 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     seedRule.foreach(asked.set) // the seed is pre-verified; never re-ask
     val trace = Vector.newBuilder[QueryEvent]
 
+    // Per pattern, |C_g ∩ P| and benefit(g) = Σ_{s ∈ C_g \ P} p_s (§3.3).
+    // P and the scores change only in retrain(), which refills both in one
+    // pass over the postings, summing each pattern's ids in ascending order.
+    val inP     = new Array[Int](index.size)
+    val benefit = new Array[Double](index.size)
     var retrains = 0
     var model  = Model(new Array[Double](0), 0.0)
-    var scores = new Array[Double](n)
     def retrain(): Unit = {
       model = Classifier.trainOnPositives(prep.features, P, n,
                                           cfg.seed + retrains, cfg.classifier)
-      scores = Classifier.scoreAll(prep.features, model)
+      val scores = Classifier.scoreAll(prep.features, model)
       retrains += 1
+      var g = 0
+      while (g < index.size) {
+        val ids = index.postings(g)
+        var c = 0; var b = 0.0; var i = 0
+        while (i < ids.length) {
+          if (P.get(ids(i))) c += 1 else b += scores(ids(i))
+          i += 1
+        }
+        inP(g) = c; benefit(g) = b
+        g += 1
+      }
     }
     retrain()
+    /** |C_g \ P|: the sentences rule g would add. */
+    def fresh(g: Int): Int = index.postings(g).length - inP(g)
+    def avgBenefit(g: Int): Double = if (fresh(g) == 0) 0.0 else benefit(g) / fresh(g)
 
-    // benefit(r) = Σ_{s ∈ C_r \ P} p_s  (§3.3), and fresh(r) = |C_r \ P|.
-    // Memoized: P and the scores only change on an accepted rule (`known`
-    // is cleared there), while pick() re-evaluates the whole pool every
-    // iteration.
-    val benefit = new Array[Double](index.size)
-    val fresh   = new Array[Int](index.size)
-    val known   = new java.util.BitSet(index.size)
-    def stats(g: Int): Unit = if (!known.get(g)) {
-      val ids = index.postings(g)
-      var b = 0.0; var f = 0; var i = 0
-      while (i < ids.length) {
-        if (!P.get(ids(i))) { b += scores(ids(i)); f += 1 }
-        i += 1
-      }
-      benefit(g) = b; fresh(g) = f; known.set(g)
-    }
-    def avgBenefit(g: Int): Double = {
-      stats(g); if (fresh(g) == 0) 0.0 else benefit(g) / fresh(g)
+    val byBenefit: Int => (Double, Double) =
+      g => (benefit(g), fresh(g).toDouble)
+    val byAvgBenefit: Int => (Double, Double) =
+      g => (avgBenefit(g), benefit(g))
+    val byCoverage: Int => (Double, Double) =
+      g => (index.postings(g).length.toDouble, 0.0)
+
+    // One traversal loop; the strategy only picks its settings (DESIGN.md,
+    // "Traversal loop"): the pools it uses, the ranking key, whether
+    // universal candidates with avg benefit ≤ MinAvgBenefit are dropped,
+    // and τ. The mode flips after τ+1 consecutive rejections or on an
+    // empty pool.
+    val (useLocal, useUniversal, key, dropLowAvg, tau) = strategy match {
+      case Strategy.LocalSearch     => (true, false, byBenefit, false, Int.MaxValue)
+      case Strategy.UniversalSearch => (false, true, byBenefit, true, Int.MaxValue)
+      case Strategy.HybridSearch(t) => (true, true, byBenefit, true, t)
+      case Strategy.HighP           => (false, true, byAvgBenefit, false, Int.MaxValue)
+      case Strategy.HighC           => (false, true, byCoverage, false, Int.MaxValue)
     }
 
     // §3.2 diversity constraint: never spend a query on a rule whose
@@ -129,9 +148,14 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
       askedCoverages.exists(HeuristicIndex.jaccard(ids, _) >= Darwin.MaxAskedJaccard)
     }
 
+    // Alg. 2 candidates after the §3.2 cleanup (C_g ⊄ P), minus the asked
+    // rules. US and HS drop the rules with avg benefit ≤ MinAvgBenefit here,
+    // once per regeneration: no key changes before the next accept, so
+    // Alg. 4's skip at pick time would drop the same rules (DESIGN.md).
     def regen(): java.util.BitSet = {
       val pool = new java.util.BitSet(index.size)
-      CandidateGen.cleanup(index, P, CandidateGen.generate(index, P, cfg.k)).foreach(pool.set)
+      for (g <- CandidateGen.generate(index, inP, cfg.k))
+        if (fresh(g) > 0 && !(dropLowAvg && avgBenefit(g) <= Darwin.MinAvgBenefit)) pool.set(g)
       pool.andNot(asked)
       pool
     }
@@ -145,18 +169,18 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
       pool.stream().toArray.maxBy(key)
     }
 
-    val byBenefit: Int => (Double, Double) =
-      g => { stats(g); (benefit(g), fresh(g).toDouble) }
-    val byAvgBenefit: Int => (Double, Double) =
-      g => (avgBenefit(g), benefit(g))
-    val byCoverage: Int => (Double, Double) =
-      g => (index.postings(g).length.toDouble, 0.0)
+    // The local pool holds only unasked rules with fresh coverage (§3.2
+    // cleanup): addLocal admits no other, and accept() drops the members
+    // that the grown P covers. regen() does the same for `universal`.
+    val local = new java.util.BitSet(index.size)
+    def addLocal(gs: Array[Int]): Unit =
+      gs.foreach(g => if (!asked.get(g) && fresh(g) > 0) local.set(g))
 
     def accept(r: Int): Unit = {
       R += r
       index.postings(r).foreach(P.set)
       retrain()
-      known.clear()
+      local.stream().toArray.foreach(g => if (fresh(g) == 0) local.clear(g))
     }
     def askOracle(r: Int): Boolean = {
       askedCoverages += index.postings(r)
@@ -165,61 +189,37 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     def record(r: Int, answer: Boolean): Unit =
       trace += QueryEvent(oracle.queries, index.patterns(r), answer, P.cardinality(), prep.recall(P))
 
-    // One traversal loop; the strategy only picks its settings (DESIGN.md,
-    // "Traversal loop"): the pools it uses, the ranking key, whether
-    // universal mode skips rules with avg benefit ≤ MinAvgBenefit, and τ.
-    // The mode flips after τ+1 consecutive rejections or on an empty pool.
-    val (useLocal, useUniversal, key, skipLowAvg, tau) = strategy match {
-      case Strategy.LocalSearch     => (true, false, byBenefit, false, Int.MaxValue)
-      case Strategy.UniversalSearch => (false, true, byBenefit, true, Int.MaxValue)
-      case Strategy.HybridSearch(t) => (true, true, byBenefit, true, t)
-      case Strategy.HighP           => (false, true, byAvgBenefit, false, Int.MaxValue)
-      case Strategy.HighC           => (false, true, byCoverage, false, Int.MaxValue)
-    }
-
-    val local = new java.util.BitSet(index.size)
-    // §3.2 cleanup applied to the local pool: a rule whose coverage is
-    // inside P cannot add positives — drop it without spending an oracle
-    // query. `universal` needs none: regen() already drops those rules and
-    // follows every change to P.
-    def pruneLocal(): Unit =
-      local.stream().toArray.foreach { g => stats(g); if (fresh(g) == 0) local.clear(g) }
-    def addLocal(gs: Array[Int]): Unit = gs.foreach(g => if (!asked.get(g)) local.set(g))
     if (useLocal) seedRule match {
       // The seed is pre-verified: expand its neighborhood directly.
       case Some(r) => addLocal(index.parentsOf(r)); addLocal(index.childrenOf(r))
       // Rule-less start: anchor on the indexed rule with the highest
       // coverage over the seed positives (generate_hierarchy would surface
       // it first anyway).
-      case None => CandidateGen.generate(index, P, 1).foreach(local.set)
+      case None => addLocal(CandidateGen.generate(index, inP, 1))
     }
     var universal = if (useUniversal) regen() else new java.util.BitSet
 
     var inUniversal = useUniversal
-    var attempt     = 0 // consecutive oracle rejections (not benefit skips)
+    var attempt     = 0 // consecutive oracle rejections
     def pool = if (inUniversal) universal else local
     def flip(): Unit = { inUniversal = !inUniversal; attempt = 0 }
-    while (oracle.queries < budget && { pruneLocal(); !local.isEmpty || !universal.isEmpty }) {
+    while (oracle.queries < budget && (!local.isEmpty || !universal.isEmpty)) {
       if (attempt > tau) flip()
       if (pool.isEmpty) flip()
       val r = pick(pool, key)
-      if (inUniversal && skipLowAvg && avgBenefit(r) <= Darwin.MinAvgBenefit) {
-        universal.clear(r) // skipped, no oracle cost (see DESIGN.md)
-      } else {
-        universal.clear(r); local.clear(r); asked.set(r)
-        if (!redundant(r)) {
-          val yes = askOracle(r)
-          if (yes) {
-            attempt = 0
-            accept(r)
-            if (useLocal) addLocal(index.parentsOf(r))
-            if (useUniversal) universal = regen()
-          } else {
-            attempt += 1
-            if (useLocal) addLocal(index.childrenOf(r))
-          }
-          record(r, yes)
+      universal.clear(r); local.clear(r); asked.set(r)
+      if (!redundant(r)) {
+        val yes = askOracle(r)
+        if (yes) {
+          attempt = 0
+          accept(r)
+          if (useLocal) addLocal(index.parentsOf(r))
+          if (useUniversal) universal = regen()
+        } else {
+          attempt += 1
+          if (useLocal) addLocal(index.childrenOf(r))
         }
+        record(r, yes)
       }
     }
 
