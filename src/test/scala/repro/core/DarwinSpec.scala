@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.SparkSession
 import repro.{SparkSpec, TestCorpora}
 import repro.data.Datasets
 import repro.eval.Experiments
@@ -99,7 +100,7 @@ class DarwinSpec extends SparkSpec {
   // an accept changes which rules LS and HS would ask.
   private lazy val invariantRuns: Seq[(String, PreparedCorpus, String, DarwinResult, ExactOracle)] = {
     val professions = Datasets.professions
-    val scaled = professions -> ((s: org.apache.spark.sql.SparkSession) =>
+    val scaled = professions -> ((s: SparkSession) =>
       TestCorpora.prepared(s, professions, Experiments.scaledSize(professions, 0.05)))
     for ((spec, corpus) <- TestCorpora.small :+ scaled; st <- allStrategies) yield {
       val prep          = corpus(spark)
