@@ -90,8 +90,9 @@ final class Darwin(prep: PreparedCorpus, oracle: RuleOracle,
     val trace = Vector.newBuilder[QueryEvent]
 
     // Per pattern, |C_g ∩ P| and benefit(g) = Σ_{s ∈ C_g \ P} p_s (§3.3).
-    // P and the scores change only in retrain(), which refills both in one
-    // pass over the postings, summing each pattern's ids in ascending order.
+    // P and the scores change only on an accept, whose retrain() refills
+    // both in one pass over the postings, summing each pattern's ids in
+    // ascending order.
     val inP     = new Array[Int](index.size)
     val benefit = new Array[Double](index.size)
     var retrains = 0
