@@ -27,6 +27,34 @@ class ALKSSpec extends SparkSpec {
     assert(res.steps.map(_.queries).forall(q => q % ActiveLearning.EvalEvery == 0 || q == 30))
   }
 
+  // Golden runs: active learning at budget 60 on the five small corpora,
+  // seeded as `Experiments.classifierQuality` seeds it, each pinned as
+  // (steps, digest of the final model's bits). The model folds in every
+  // sentence AL asked, so the digest pins the max-entropy picks.
+  test("golden runs: active learning at budget 60 on the small corpora") {
+    val got = TestCorpora.small.map { case (spec, corpus) =>
+      val prep = corpus(spark)
+      val res  = ActiveLearning.run(prep, prep.index.ids(spec.seedRule).filter(prep.gt.get).take(2), 60)
+      spec.name -> ((res.steps.map(s => (s.queries, s.f1)),
+                     TestCorpora.digest(_.update(TestCorpora.modelBits(res.model)))))
+    }
+    assert(got === Seq(
+      "tweets" -> ((Vector(
+        20 -> 1.0, 30 -> 1.0, 40 -> 1.0, 50 -> 1.0, 60 -> 1.0), "441db67f605bbe60")),
+      "directions" -> ((Vector(
+        20 -> 0.3266666666666667, 30 -> 0.42406876790830944, 40 -> 0.4438356164383562,
+        50 -> 0.47813411078717205, 60 -> 0.4970414201183432), "4aca489f1eb6c83f")),
+      "musicians" -> ((Vector(
+        20 -> 0.8396226415094339, 30 -> 0.9270833333333334, 40 -> 0.9664082687338502,
+        50 -> 0.9690721649484536, 60 -> 1.0), "64bfa3a53c27c61e")),
+      "cause-effect" -> ((Vector(
+        20 -> 0.8396226415094339, 30 -> 0.9562982005141388, 40 -> 0.9947089947089947,
+        50 -> 1.0, 60 -> 1.0), "3196a8e7577b3c06")),
+      "professions" -> ((Vector(
+        20 -> 0.21220159151193635, 30 -> 0.54014598540146, 40 -> 0.5,
+        50 -> 0.7413793103448275, 60 -> 1.0), "f2a4c82ed21a2563"))))
+  }
+
   test("keyword sampling builds a pool from the provided keywords") {
     val prep = TestCorpora.tweetsSmall(spark)
     val res = KeywordSampling.run(prep, Datasets.tweets.keywords, budget = 60)
