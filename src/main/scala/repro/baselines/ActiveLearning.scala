@@ -45,11 +45,12 @@ object ActiveLearning {
 
     while (oracle.queries < budget) {
       // max-entropy = score closest to 0.5 among unlabeled
+      val scores = Classifier.scoreAll(prep.features, model)
       var best = -1; var bestDist = Double.MaxValue
       var i = 0
       while (i < prep.n) {
         if (!labeled.contains(i)) {
-          val d = math.abs(model.score(prep.features(i)) - 0.5)
+          val d = math.abs(scores(i) - 0.5)
           if (d < bestDist) { bestDist = d; best = i }
         }
         i += 1

@@ -14,11 +14,14 @@ final case class Model(w: Array[Double], b: Double) {
   def score(f: Array[Float]): Double = {
     var z = b; var i = 0
     while (i < w.length) { z += w(i) * f(i); i += 1 }
-    1.0 / (1.0 + math.exp(-z))
+    Classifier.sigmoid(z)
   }
 }
 
 object Classifier {
+
+  /** The logistic function σ(z) = 1 / (1 + e^−z). */
+  def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
 
   /** @param negWeight down-weights sampled negatives: they are random
     *   corpus draws, so a positive-rate fraction of them is mislabeled
@@ -44,13 +47,14 @@ object Classifier {
     * class-balance weight on positives).
     *
     * The m training rows, positives first, are gathered once into one
-    * row-major `Double` buffer. An epoch takes the rows four at a time: it
-    * computes their four logits as independent chains from the epoch's
-    * fixed (w, b), then adds their four gradient terms to each coordinate
-    * in row order. Every logit is summed from b in coordinate order and
-    * every gradient coordinate over the rows in the order of a
-    * row-at-a-time loop, so the model is bit-identical to that loop's
-    * (DESIGN.md, "Classifier kernel").
+    * row-major `Double` buffer, padded to a multiple of four with zero rows
+    * of weight 0. An epoch takes the rows four at a time: it computes their
+    * four logits as independent chains from the epoch's fixed (w, b), then
+    * adds their four gradient terms to each coordinate in row order. Every
+    * logit is summed from b in coordinate order and every gradient
+    * coordinate over the rows in the order of a row-at-a-time loop. A pad
+    * row's terms are +0.0, which leave every sum's bits as they are, so the
+    * model is bit-identical to that loop's (DESIGN.md, "Classifier kernel").
     */
   def train(features: Array[Array[Float]], posIdx: Array[Int], negIdx: Array[Int],
             cfg: Config = Config()): Model = {
@@ -60,9 +64,10 @@ object Classifier {
     if (posIdx.isEmpty || negIdx.isEmpty) return Model(w, b)
     val posW = cfg.posWeight.getOrElse(negIdx.length.toDouble / posIdx.length.toDouble)
     val m    = posIdx.length + negIdx.length
-    val x      = new Array[Double](m * dim)
-    val y      = new Array[Double](m)
-    val weight = new Array[Double](m)
+    val rows = (m + 3) / 4 * 4 // m padded with zero rows of weight 0
+    val x      = new Array[Double](rows * dim)
+    val y      = new Array[Double](rows)
+    val weight = new Array[Double](rows)
     var k = 0
     while (k < m) {
       val isPos = k < posIdx.length
@@ -75,13 +80,13 @@ object Classifier {
     }
     val gw = new Array[Double](dim)
     def errOf(k: Int, z: Double): Double =
-      weight(k) * (1.0 / (1.0 + math.exp(-z)) - y(k))
+      weight(k) * (sigmoid(z) - y(k))
     var e = 0
     while (e < cfg.epochs) {
       java.util.Arrays.fill(gw, 0.0)
       var gb = 0.0
       k = 0
-      while (k + 4 <= m) {
+      while (k < rows) {
         val o0 = k * dim; val o1 = o0 + dim; val o2 = o1 + dim; val o3 = o2 + dim
         var z0 = b; var z1 = b; var z2 = b; var z3 = b
         var i = 0
@@ -100,16 +105,6 @@ object Classifier {
         }
         gb = gb + e0 + e1 + e2 + e3
         k += 4
-      }
-      while (k < m) {
-        val o = k * dim
-        var z = b; var i = 0
-        while (i < dim) { z += w(i) * x(o + i); i += 1 }
-        val ek = errOf(k, z)
-        i = 0
-        while (i < dim) { gw(i) += ek * x(o + i); i += 1 }
-        gb += ek
-        k += 1
       }
       val scale = cfg.lr / m
       var i = 0
@@ -148,6 +143,7 @@ object Classifier {
     bitsetIndices(negSet)
   }
 
+  /** Every sentence's score p_s; the one loop that scores a whole corpus. */
   def scoreAll(features: Array[Array[Float]], model: Model): Array[Double] = {
     val out = new Array[Double](features.length)
     var i = 0

@@ -170,7 +170,7 @@ object Experiments {
                       biased: Boolean): Vector[SeedSweepRow] = {
     val exclude = if (biased) {
       require(prep.positiveIds.nonEmpty)
-      Datasets.all.find(_.name == prep.name).flatMap(_.biasToken)
+      Datasets.byName(prep.name).biasToken
     } else None
     seedSizes.toVector.map { size =>
       val labeled = sampleSeed(prep, size, SweepSeed + size, exclude)

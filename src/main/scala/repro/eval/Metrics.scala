@@ -37,12 +37,10 @@ object Metrics {
 
   /** Classifier F-score over the whole corpus at [[DecisionThreshold]] (§4.4). */
   def ofModel(prep: PreparedCorpus, model: Model): PRF = {
-    val pred = new java.util.BitSet(prep.n)
+    val scores = Classifier.scoreAll(prep.features, model)
+    val pred   = new java.util.BitSet(prep.n)
     var i = 0
-    while (i < prep.n) {
-      if (model.score(prep.features(i)) >= DecisionThreshold) pred.set(i)
-      i += 1
-    }
+    while (i < prep.n) { if (scores(i) >= DecisionThreshold) pred.set(i); i += 1 }
     ofBitset(pred, prep.gt)
   }
 

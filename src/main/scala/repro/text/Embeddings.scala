@@ -1,5 +1,7 @@
 package repro.text
 
+import repro.data.SplitMix
+
 /** Synthetic word embeddings (SpaCy substitute, DESIGN.md substitution 3).
   *
   * Each word's vector is its semantic cluster's centroid plus a small
@@ -13,23 +15,15 @@ object Embeddings extends Serializable {
 
   val dim = 16
 
-  /** Deterministic pseudo-random unit-scale vector from a string seed
-    * (splitmix64 over the string hash, one draw per dimension).
+  /** Deterministic pseudo-random vector, uniform in [-1, 1) per dimension,
+    * from a string seed: one [[SplitMix]] draw per dimension, seeded from
+    * the string hash.
     */
   private[text] def hashVector(seed: String, n: Int = dim): Array[Float] = {
-    var x = seed.hashCode.toLong * 0x9E3779B97F4A7C15L + 0xBF58476D1CE4E5B9L
-    val v = new Array[Float](n)
+    val rng = new SplitMix(seed.hashCode.toLong * 0x9E3779B97F4A7C15L + 0xBF58476D1CE4E5B9L)
+    val v   = new Array[Float](n)
     var i = 0
-    while (i < n) {
-      x += 0x9E3779B97F4A7C15L
-      var z = x
-      z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-      z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-      z = z ^ (z >>> 31)
-      // uniform in [-1, 1)
-      v(i) = ((z >>> 11).toDouble / (1L << 53).toDouble * 2.0 - 1.0).toFloat
-      i += 1
-    }
+    while (i < n) { v(i) = (rng.nextDouble() * 2.0 - 1.0).toFloat; i += 1 }
     v
   }
 

@@ -1,6 +1,6 @@
 package repro.weak
 
-import repro.core.PreparedCorpus
+import repro.core.{Classifier, PreparedCorpus}
 
 /** Snorkel substitute (DESIGN.md substitution 5): the one-coin generative
   * label model over positive-voting labeling functions, fitted with EM.
@@ -18,18 +18,18 @@ import repro.core.PreparedCorpus
   */
 object LabelModel {
 
-  final case class Fit(posterior: Array[Double]) // P(y=1 | votes); 0 for uncovered
-
   /** EM iterations of [[fit]]. */
   private val Iters = 25
 
   /** A covered sentence is a de-noised positive at this posterior. */
   private val MinPosterior = 0.5
 
-  /** @param coverages inverted lists (sorted sentence ids) of each rule
+  /** The posterior P(y=1 | votes) of every sentence; 0 for uncovered ones.
+    *
+    * @param coverages inverted lists (sorted sentence ids) of each rule
     * @param n corpus size
     */
-  def fit(coverages: Vector[Array[Int]], n: Int, prior: Double = 0.5): Fit = {
+  def fit(coverages: Vector[Array[Int]], n: Int, prior: Double = 0.5): Array[Double] = {
     val m = coverages.length
     require(m > 0, "need at least one labeling function")
 
@@ -66,7 +66,7 @@ object LabelModel {
             logit += math.log(clamp(a(j))) - math.log(clamp(1 - a(j)))
             k += 1
           }
-          q(s) = 1.0 / (1.0 + math.exp(-logit))
+          q(s) = Classifier.sigmoid(logit)
         }
         s += 1
       }
@@ -83,18 +83,15 @@ object LabelModel {
       }
       it += 1
     }
-    Fit(q)
+    q
   }
 
   /** De-noised positive set: covered sentences with posterior ≥ [[MinPosterior]]. */
   def denoise(prep: PreparedCorpus, ruleCoverages: Vector[Array[Int]]): java.util.BitSet = {
-    val fitted = fit(ruleCoverages, prep.n)
-    val out    = new java.util.BitSet(prep.n)
+    val posterior = fit(ruleCoverages, prep.n)
+    val out       = new java.util.BitSet(prep.n)
     var i = 0
-    while (i < prep.n) {
-      if (fitted.posterior(i) >= MinPosterior) out.set(i)
-      i += 1
-    }
+    while (i < prep.n) { if (posterior(i) >= MinPosterior) out.set(i); i += 1 }
     out
   }
 }

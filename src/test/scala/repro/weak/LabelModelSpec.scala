@@ -59,20 +59,20 @@ class LabelModelFitSpec extends AnyFunSuite {
 
   test("covered sentences get higher posterior than uncovered ones") {
     val fit = LabelModel.fit(Vector(Array(0, 1, 2), Array(1, 2, 3)), 10)
-    val covered = Seq(0, 1, 2, 3).map(fit.posterior)
-    val uncovered = Seq(5, 6, 7).map(fit.posterior)
+    val covered = Seq(0, 1, 2, 3).map(fit(_))
+    val uncovered = Seq(5, 6, 7).map(fit(_))
     assert(covered.min > uncovered.max)
   }
 
   test("multiply-covered sentences get the highest posterior") {
     val fit = LabelModel.fit(Vector(Array(0, 1), Array(1, 2), Array(1, 3)), 12)
-    assert(fit.posterior(1) >= fit.posterior(0))
-    assert(fit.posterior(1) >= fit.posterior(2))
+    assert(fit(1) >= fit(0))
+    assert(fit(1) >= fit(2))
   }
 
   test("posteriors are valid probabilities") {
     val fit = LabelModel.fit(Vector(Array(0, 1, 2), Array(4, 5)), 8)
-    assert(fit.posterior.forall(p => p >= 0.0 && p <= 1.0))
+    assert(fit.forall(p => p >= 0.0 && p <= 1.0))
   }
 
   test("a rule disjoint from all others is downweighted relative to corroborated rules") {
@@ -80,14 +80,14 @@ class LabelModelFitSpec extends AnyFunSuite {
     val fit = LabelModel.fit(Vector(
       Array(0, 1, 2, 3), Array(0, 1, 2, 4), Array(1, 2, 3, 4),
       Array(10, 11, 12, 13)), 20)
-    val corroborated = Seq(1, 2).map(fit.posterior).min
-    val lone = Seq(10, 11).map(fit.posterior).max
+    val corroborated = Seq(1, 2).map(fit(_)).min
+    val lone = Seq(10, 11).map(fit(_)).max
     assert(corroborated >= lone - 1e-9)
   }
 
   test("single labeling function is accepted") {
     val fit = LabelModel.fit(Vector(Array(2, 3)), 5)
-    assert(fit.posterior(2) > fit.posterior(0))
+    assert(fit(2) > fit(0))
   }
 
   test("empty rule set is rejected") {
@@ -106,7 +106,7 @@ class LabelModelFitSpec extends AnyFunSuite {
       Vector(Array(2, 4, 5, 6, 8, 11), Array(1, 4, 7, 8, 10, 11), Array(3, 5, 9),
              Array(2, 3, 5, 8)) -> 12);
          prior <- Seq(0.5, 0.3)) {
-      assert(ReferenceLabelModel.bits(LabelModel.fit(covs, n, prior = prior).posterior) ===
+      assert(ReferenceLabelModel.bits(LabelModel.fit(covs, n, prior = prior)) ===
              ReferenceLabelModel.bits(ReferenceLabelModel.posterior(covs, n, prior = prior)))
     }
   }
@@ -115,7 +115,7 @@ class LabelModelFitSpec extends AnyFunSuite {
     val covs = Vector(Array(0, 1, 2), Array(2, 3))
     val a = LabelModel.fit(covs, 6)
     val b = LabelModel.fit(covs, 6)
-    assert(a.posterior.toSeq === b.posterior.toSeq)
+    assert(a.toSeq === b.toSeq)
   }
 }
 
@@ -144,7 +144,7 @@ class LabelModelEndToEndSpec extends SparkSpec {
       val covs = res.rules.map(prep.index.ids)
       assert(covs.length > 1, s"${spec.name}: ${res.rules}")
       for (prior <- Seq(0.5, 0.3))
-        assert(ReferenceLabelModel.bits(LabelModel.fit(covs, prep.n, prior = prior).posterior) ===
+        assert(ReferenceLabelModel.bits(LabelModel.fit(covs, prep.n, prior = prior)) ===
                ReferenceLabelModel.bits(ReferenceLabelModel.posterior(covs, prep.n, prior = prior)),
                s"${spec.name} prior=$prior")
     }
