@@ -40,7 +40,10 @@ object Metrics {
     val scores = Classifier.scoreAll(prep.features, model)
     val pred   = new java.util.BitSet(prep.n)
     var i = 0
-    while (i < prep.n) { if (scores(i) >= DecisionThreshold) pred.set(i); i += 1 }
+    while (i < prep.n) {
+      if (scores(i) >= DecisionThreshold) pred.set(i)
+      i += 1
+    }
     ofBitset(pred, prep.gt)
   }
 

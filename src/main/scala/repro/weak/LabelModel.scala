@@ -91,7 +91,10 @@ object LabelModel {
     val posterior = fit(ruleCoverages, prep.n)
     val out       = new java.util.BitSet(prep.n)
     var i = 0
-    while (i < prep.n) { if (posterior(i) >= MinPosterior) out.set(i); i += 1 }
+    while (i < prep.n) {
+      if (posterior(i) >= MinPosterior) out.set(i)
+      i += 1
+    }
     out
   }
 }
